@@ -343,7 +343,7 @@ func streamFleet(targets []string, listenFor time.Duration, o runOptions) ([]tag
 		cfgs = append(cfgs, tagbreathe.FleetReaderConfig{Name: name, Addr: addr})
 	}
 	// The live monitor exists before the fleet so the merge can shed
-	// quality-aware: its vantage classifier tells the pumps which
+	// quality-aware: its vantage classifier tells each reader which
 	// reports are redundant oversampling and which carry the selected
 	// vantage a user's estimate is computed from.
 	mon := newLiveMonitor(o)

@@ -21,7 +21,7 @@ package core
 // the engines' post-analysis fused-bin backlog from Engine.Lag — and
 // under sustained pressure stretches the worker's effective tick
 // interval by skipping analysis on stretch-1 of every stretch tick
-// deliveries. The queue signal is sampled by the demux at tick
+// deliveries. The queue signal is sampled by the router at tick
 // broadcast (the backlog queued ahead of the tick), not at dequeue —
 // the worker drains the queue ahead of a tick before it could
 // observe it, so a dequeue-side sample structurally under-reads. Recovery is hysteretic: the ladder steps down one rung
@@ -40,7 +40,7 @@ type DegradeConfig struct {
 	// Powers of two keep the ladder's rungs exact.
 	MaxStretch int
 	// EngageFraction is the queue-occupancy fraction (of ShardQueue,
-	// sampled by the demux at tick broadcast — the backlog queued
+	// sampled by the router at tick broadcast — the backlog queued
 	// ahead of the tick) at or above which the worker escalates one
 	// rung. Default 0.5.
 	EngageFraction float64
@@ -120,7 +120,7 @@ func newForcedGovernor(stretch int) *tickGovernor {
 }
 
 // tick is called at every tick delivery with the queue occupancy the
-// demux sampled at broadcast. It escalates (at most one rung per
+// router sampled at broadcast. It escalates (at most one rung per
 // delivery) under pressure and reports whether this tick should be
 // analyzed or skipped. Skipped ticks still reply to the collector —
 // the reply is just empty — so the tick barrier never stalls.

@@ -369,6 +369,12 @@ type EngineOptions struct {
 	UserID uint64
 	// Metrics receives per-tick instrumentation; nil disables.
 	Metrics *MonitorMetrics
+
+	// window, when set, is the buffer recomputeUpdate copies the
+	// window's bins into, shared by every engine a shard worker owns
+	// (they tick one at a time on its goroutine). Nil gives the engine
+	// its own.
+	window *[]float64
 }
 
 // vantage identifies one (reader, antenna) observation point — the
@@ -452,7 +458,9 @@ type Engine struct {
 	// Streaming chain geometry, set when the first chain is built.
 	delay, warm int
 
-	scratch []float64
+	// window holds recomputeUpdate's copy of the window's bins (see
+	// EngineOptions.window); only that call reads or writes it.
+	window *[]float64
 }
 
 // NewEngine builds a stage engine for one user.
@@ -476,6 +484,10 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		ants:      make(map[vantage]*antennaState),
 		origin:    opts.Origin,
 		originSet: opts.OriginSet,
+		window:    opts.window,
+	}
+	if e.window == nil {
+		e.window = new([]float64)
 	}
 	e.windowBins = int(e.windowSec / binSec)
 	return e
@@ -610,6 +622,21 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	}
 	if e.mode == FilterFIRStreaming {
 		e.advanceChains(asOf)
+		// Crossings that slid out of the window are gone for good, on
+		// every vantage: a non-selected vantage's buffer is read only
+		// once selection moves onto it, and this is the same cut it
+		// would get then. Pruning in place reuses the backing arrays,
+		// so steady state allocates nothing.
+		t0 := max(asOf-e.windowSec, e.origin)
+		for _, a := range e.ants {
+			idx := 0
+			for idx < len(a.crossings) && a.crossings[idx].T < t0 {
+				idx++
+			}
+			if idx > 0 {
+				a.crossings = append(a.crossings[:0], a.crossings[idx:]...)
+			}
+		}
 	}
 	tickSpan := func(a *antennaState) float64 {
 		span := a.latest - a.earliest
@@ -627,12 +654,8 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	if !ok {
 		return RateUpdate{}, false
 	}
-	t0 := asOf - e.windowSec
-	if t0 < e.origin {
-		t0 = e.origin
-	}
 	if e.mode == FilterFIRStreaming {
-		return e.streamingUpdate(best, bestV, t0)
+		return e.streamingUpdate(best, bestV)
 	}
 	//tagbreathe:allow hotpath legacy O(window) recompute modes allocate by design; FIRStreaming is the enforced real-time mode
 	return e.recomputeUpdate(best, bestV, asOf)
@@ -687,19 +710,9 @@ func (e *Engine) advance(a *antennaState, limIdx int) int {
 }
 
 // streamingUpdate assembles a RateUpdate from the selected vantage's
-// incrementally maintained crossings — O(window crossings), no
-// filtering work.
-func (e *Engine) streamingUpdate(a *antennaState, v vantage, t0 float64) (RateUpdate, bool) {
-	// Crossings that slid out of the window are gone for good; prune in
-	// place (the backing array is reused, steady state allocates
-	// nothing).
-	idx := 0
-	for idx < len(a.crossings) && a.crossings[idx].T < t0 {
-		idx++
-	}
-	if idx > 0 {
-		a.crossings = append(a.crossings[:0], a.crossings[idx:]...)
-	}
+// incrementally maintained crossings, already pruned to the window —
+// O(window crossings), no filtering work.
+func (e *Engine) streamingUpdate(a *antennaState, v vantage) (RateUpdate, bool) {
 	cr := a.crossings
 	rate := rateOverCrossings(cr)
 	if rate <= 0 {
@@ -737,8 +750,8 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 	if iLo < 0 {
 		iLo = 0
 	}
-	e.scratch = a.fuser.WindowBins(iLo, iHi, e.scratch[:0])
-	bins := e.scratch
+	*e.window = a.fuser.WindowBins(iLo, iHi, (*e.window)[:0])
+	bins := *e.window
 	if e.metrics != nil {
 		e.metrics.TickBins.Observe(float64(len(bins)))
 	}

@@ -15,7 +15,7 @@ import (
 // registry yields live but unexposed instruments, so Monitor code
 // updates handles unconditionally.
 type MonitorMetrics struct {
-	// Ingested counts reports entering the demux stage (pre-filter).
+	// Ingested counts reports entering the router (pre-filter).
 	Ingested *obs.Counter
 	// Dropped counts reports shed under OverloadDropNewest —
 	// Monitor.DroppedReports reads this counter.
@@ -110,7 +110,7 @@ type MonitorMetrics struct {
 func NewMonitorMetrics(r *obs.Registry) *MonitorMetrics {
 	return &MonitorMetrics{
 		Ingested: r.Counter("tagbreathe_monitor_reports_ingested_total",
-			"Reports received by the monitor demux stage."),
+			"Reports received by the monitor's router."),
 		Dropped: r.Counter("tagbreathe_monitor_reports_dropped_total",
 			"Reports shed by the OverloadDropNewest policy."),
 		Processed: r.Counter("tagbreathe_monitor_reports_processed_total",
@@ -160,7 +160,7 @@ func NewMonitorMetrics(r *obs.Registry) *MonitorMetrics {
 		TicksSkipped: r.Counter("tagbreathe_monitor_ticks_skipped_total",
 			"Per-worker tick deliveries skipped under tick stretch."),
 		ShedByClass: r.CounterVec("tagbreathe_monitor_reports_shed_by_class_total",
-			"Reports shed by the demux, partitioned by vantage class (unknown, primary, redundant).",
+			"Reports shed by the router, partitioned by vantage class (unknown, primary, redundant).",
 			"class"),
 		VantageGates: r.Gauge("tagbreathe_monitor_vantage_gates_closed",
 			"(user, vantage) gates currently closed by quality-aware shedding."),

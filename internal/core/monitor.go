@@ -11,8 +11,8 @@ import (
 	"tagbreathe/internal/reader"
 )
 
-// OverloadPolicy selects what the monitor's demux stage does when a
-// user shard's bounded queue is full.
+// OverloadPolicy selects what the monitor's router does when a user
+// shard's bounded queue is full.
 type OverloadPolicy int
 
 const (
@@ -59,10 +59,10 @@ type MonitorConfig struct {
 	// gives the sequential reference path the equivalence tests
 	// compare against.
 	ShardWorkers int
-	// Overload selects the demux policy when a shard worker's queue is
-	// full: OverloadBlock (default, lossless backpressure) or
+	// Overload selects the routing policy when a shard worker's queue
+	// is full: OverloadBlock (default, lossless backpressure) or
 	// OverloadDropNewest (shed the report, count it). Under
-	// OverloadDropNewest the demux sheds quality-aware: once a queue
+	// OverloadDropNewest the router sheds quality-aware: once a queue
 	// nears capacity, reports from non-selected (reader, antenna)
 	// vantages are sacrificed first, so redundant oversampling is lost
 	// before the data the estimate is computed from (per-class
@@ -83,11 +83,12 @@ type MonitorConfig struct {
 	// counter) but exposes nothing.
 	Metrics *MonitorMetrics
 	// Tracer samples end-to-end report traces through the ingest,
-	// demux, worker, and collector stages (see obs.NewTracer). Reports
-	// arriving with a TraceID — stamped at the LLRP layer — keep their
-	// reader-side origin so queue wait ahead of the monitor is
-	// attributable; untraced reports may begin a trace at ingest. Nil
-	// traces nothing: the per-report cost is two predictable branches.
+	// routing (StageDemux), worker, and collector stages (see
+	// obs.NewTracer). Reports arriving with a TraceID — stamped at the
+	// LLRP layer — keep their reader-side origin so queue wait ahead of
+	// the monitor is attributable; untraced reports may begin a trace
+	// at ingest. Nil traces nothing: the per-report cost is two
+	// predictable branches.
 	Tracer *obs.Tracer
 	// testTickWork (tests only, hence unexported) adds this much wall
 	// time of artificial work to every analyzed tick on every worker:
@@ -166,22 +167,23 @@ type RateUpdate struct {
 // report stream in timestamp order and receive per-user rate updates.
 //
 // Internally the stream is sharded by user onto a fixed pool of shard
-// workers — an event-loop/worker-pool hybrid. A demux goroutine
-// assigns each newly seen user to one worker (round-robin in
-// first-seen order; the assignment never changes) and routes every
-// report to that worker's bounded queue. Each worker is an event loop
-// owning the complete pipeline state of every user assigned to it
-// (Eq. 3 differencer, fused bins, antenna metadata): exactly one
+// workers — an event-loop/worker-pool hybrid. Ingest routes on the
+// caller's goroutine: it assigns each newly seen user to one worker
+// (round-robin in first-seen order; the assignment never changes) and
+// puts every report on that worker's bounded queue. Each worker is an
+// event loop owning the complete pipeline state of every user assigned
+// to it (Eq. 3 differencer, fused bins, antenna metadata): exactly one
 // goroutine ever touches a user's engine, so the single-writer-per-
 // user invariant of the original goroutine-per-user design holds with
 // O(workers) goroutines and queues instead of O(users) — the
 // difference between ~10⁴ and >10⁵ sustainable users per process (see
 // BENCH_capacity.json). On every UpdateEvery boundary of stream time
-// the demux broadcasts a tick; workers analyze their users in
+// the router broadcasts a tick; workers analyze their users in
 // parallel and a collector emits the tick's updates in stream-time
 // order (and user-ID order within a tick), so the output is globally
 // time-ordered and deterministic. Overload behaviour at the worker
-// queues is set by MonitorConfig.Overload.
+// queues is set by MonitorConfig.Overload. The monitor runs
+// ShardWorkers + 1 goroutines: the workers and the collector.
 //
 // The monitor is driven by stream time (report timestamps), not the
 // wall clock, so it serves live operation, accelerated simulation, and
@@ -193,14 +195,13 @@ type RateUpdate struct {
 type Monitor struct {
 	cfg MonitorConfig
 
-	in      chan reader.TagReport
+	rt      *router
 	updates chan RateUpdate
 	metrics *MonitorMetrics
 	tracer  *obs.Tracer
 
-	stopOnce  sync.Once
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// last mirrors the most recent update per user, written by the
 	// collector; LastUpdates snapshots it so operators (and chaos
@@ -215,7 +216,7 @@ type Monitor struct {
 	lastWall map[uint64]int64
 	// primary mirrors each user's currently selected (reader, antenna)
 	// vantage, written by the collector from every emitted update. The
-	// demux consults it — only on the shed path — to classify reports
+	// router consults it — only on the shed path — to classify reports
 	// as primary (selected vantage) or redundant (any other), so
 	// quality-aware shedding sacrifices redundant data first.
 	//
@@ -229,7 +230,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	cfg.fillDefaults()
 	m := &Monitor{
 		cfg:     cfg,
-		in:      make(chan reader.TagReport, 256),
 		updates: make(chan RateUpdate, 64),
 		metrics: cfg.Metrics,
 		tracer:  cfg.Tracer,
@@ -244,28 +244,23 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		// whether observability is wired (see internal/obs).
 		m.metrics = NewMonitorMetrics(nil)
 	}
-	// Tick descriptors flow demux → collector with a small buffer: the
+	// Tick descriptors flow router → collector with a small buffer: the
 	// pipeline depth. A deeper buffer lets ingest run further ahead of
 	// analysis; 2 keeps at most a couple of windows in flight.
 	ticks := make(chan *monitorTick, 2)
-	m.wg.Add(2)
-	go m.demuxLoop(ticks)
+	m.rt = newRouter(m, ticks)
+	m.wg.Add(1)
 	go m.collectLoop(ticks)
 	return m
 }
 
-// Ingest submits one report. Reports must arrive in timestamp order.
-// It returns false if the monitor has been stopped.
+// Ingest submits one report, routing it to its user's shard worker on
+// the caller's goroutine. Reports must arrive in timestamp order. It
+// returns false if the input has been closed (Stop or CloseInput).
+// Safe for concurrent use.
 //
 //tagbreathe:hotpath runs once per tag read on the producer's goroutine
-func (m *Monitor) Ingest(r reader.TagReport) (ok bool) {
-	defer func() {
-		// Sending on a closed channel panics; translate the race with
-		// Stop into a clean false rather than crashing the producer.
-		if recover() != nil {
-			ok = false
-		}
-	}()
+func (m *Monitor) Ingest(r reader.TagReport) bool {
 	if r.TraceID == 0 {
 		// Untraced so far (direct feed from the emulator or replay):
 		// this is the earliest stage that sees the report, so traces
@@ -276,7 +271,10 @@ func (m *Monitor) Ingest(r reader.TagReport) (ok bool) {
 		// its origin and stamp the hand-off into the monitor.
 		m.tracer.Stamp(r.TraceID, obs.StageIngest)
 	}
-	m.in <- r
+	if !m.rt.route(r) {
+		m.tracer.Abort(r.TraceID)
+		return false
+	}
 	return true
 }
 
@@ -286,7 +284,7 @@ func (m *Monitor) Updates() <-chan RateUpdate {
 	return m.updates
 }
 
-// DroppedReports returns how many reports the demux stage has shed
+// DroppedReports returns how many reports the router has shed
 // under the OverloadDropNewest policy. Always zero under
 // OverloadBlock. Safe to call concurrently with ingest. It is a thin
 // reader over the tagbreathe_monitor_reports_dropped_total counter.
@@ -296,7 +294,7 @@ func (m *Monitor) DroppedReports() uint64 {
 
 // ProcessedReports returns how many reports the shard workers have fed
 // into user engines. Together with DroppedReports it closes the
-// ingest accounting loop: every report the demux admitted is either
+// ingest accounting loop: every report the router admitted is either
 // processed or dropped, so ingested_allowed = processed + dropped once
 // the monitor drains. Safe to call concurrently with ingest. It is a
 // thin reader over the tagbreathe_monitor_reports_processed_total
@@ -309,10 +307,10 @@ func (m *Monitor) ProcessedReports() uint64 {
 // the user's currently selected vantage: ShedPrimary if it is the
 // selected one, ShedRedundant otherwise, ShedUnknown before the user
 // has ever emitted an update. It is the classification quality-aware
-// shedding uses (demux near-full path, and — via a fleet classifier
-// hook — the fleet merge). Safe to call concurrently.
+// shedding uses (the router's near-full path, and — via a fleet
+// classifier hook — the fleet merge). Safe to call concurrently.
 func (m *Monitor) VantageClass(uid uint64, readerID string, port int) ShedClass {
-	m.lastMu.Lock() //tagbreathe:allow hotpath taken only on the demux shed path, when the queue is already near capacity and reports are being sacrificed
+	m.lastMu.Lock() //tagbreathe:allow hotpath taken only on the shed path, when a queue is already near capacity and reports are being sacrificed
 	v, ok := m.primary[uid]
 	m.lastMu.Unlock()
 	if !ok {
@@ -324,7 +322,7 @@ func (m *Monitor) VantageClass(uid uint64, readerID string, port int) ShedClass 
 	return ShedRedundant
 }
 
-// ShedByClass returns the demux's per-class shed totals under
+// ShedByClass returns the router's per-class shed totals under
 // quality-aware OverloadDropNewest shedding. The classes partition
 // DroppedReports: unknown + primary + redundant = dropped.
 func (m *Monitor) ShedByClass() map[string]uint64 {
@@ -360,7 +358,7 @@ func (m *Monitor) PeakTickStretch() int {
 	return 1
 }
 
-// Ticks returns how many analysis ticks the demux has broadcast.
+// Ticks returns how many analysis ticks the router has broadcast.
 func (m *Monitor) Ticks() uint64 {
 	return m.metrics.Ticks.Value()
 }
@@ -380,23 +378,26 @@ func (m *Monitor) LastUpdates() map[uint64]RateUpdate {
 	return out
 }
 
-// CloseInput signals that no further reports will arrive. Pending
-// analysis completes and Updates closes.
+// CloseInput signals that no further reports will arrive: it
+// broadcasts the final tick, after which pending analysis completes and
+// Updates closes. Like Ingest it may wait for a full queue, so keep
+// draining Updates while it runs. Idempotent.
 func (m *Monitor) CloseInput() {
-	m.closeOnce.Do(func() { close(m.in) })
+	m.rt.close()
 }
 
 // Stop closes the input and waits for the pipeline to drain. Safe to
 // call multiple times and concurrently with Ingest.
 func (m *Monitor) Stop() {
 	m.stopOnce.Do(func() {
-		m.CloseInput()
-		// Drain updates so the analyze stage can finish.
+		// Drain updates so the final tick and the analyze stage can
+		// finish.
 		//tagbreathe:allow goroutineleak exits when m.wg.Wait closes updates; tying it to the WaitGroup would deadlock the drain
 		go func() {
 			for range m.updates {
 			}
 		}()
+		m.CloseInput()
 		m.wg.Wait()
 	})
 }
@@ -431,14 +432,14 @@ type shardResult struct {
 type shardInput struct {
 	report reader.TagReport
 	tick   *monitorTick
-	// occ is the worker's queue occupancy sampled by the demux at tick
+	// occ is the worker's queue occupancy sampled by the router at tick
 	// broadcast (tick entries only): the backlog queued ahead of the
 	// tick. Sampled at dequeue it would under-read — the worker drains
-	// the queue ahead of the tick before observing it — so the demux
+	// the queue ahead of the tick before observing it — so the router
 	// records the pressure the tick was born under.
 	occ int
 	// closeVantage marks this entry as a vantage-gate tombstone: the
-	// demux has stopped forwarding the report's (reader, antenna)
+	// router has stopped forwarding the report's (reader, antenna)
 	// vantage for this user, and the worker must retire its phase
 	// streams (Engine.CloseVantage) instead of feeding the report. An
 	// open stream that will never read again pins the finality horizon
@@ -448,197 +449,14 @@ type shardInput struct {
 }
 
 // gateKey identifies one user's (reader, antenna) vantage gate in the
-// demux's quality-aware shedding state.
+// router's quality-aware shedding state.
 type gateKey struct {
 	uid uint64
 	v   vantage
 }
 
-// demuxLoop is the routing stage: it owns the user→worker assignment
-// table (nobody else touches it), forwards each report to its user's
-// worker queue, and broadcasts analysis ticks on UpdateEvery
-// boundaries of stream time.
-//
-//tagbreathe:hotpath every report crosses this single goroutine; a stall here backpressures the whole reader
-func (m *Monitor) demuxLoop(ticks chan<- *monitorTick) {
-	defer m.wg.Done()
-
-	// monitorWorker pairs a worker's queue with its pre-resolved
-	// high-water gauge, so the per-report depth update costs one
-	// atomic load (and a CAS only on a new maximum).
-	type monitorWorker struct {
-		q  chan shardInput
-		hw *obs.Gauge
-	}
-	//tagbreathe:allow hotpath fixed worker pool built once before the loop
-	workers := make([]monitorWorker, m.cfg.ShardWorkers)
-	for i := range workers {
-		q := make(chan shardInput, m.cfg.ShardQueue) //tagbreathe:allow hotpath pool queues built once at startup, before any report flows
-		//tagbreathe:allow hotpath per-worker gauge handles resolve once at pool construction, before any report flows
-		workers[i] = monitorWorker{
-			q:  q,
-			hw: m.metrics.WorkerQueueHighWater.With(WorkerLabel(i)),
-		}
-		m.wg.Add(1)
-		//tagbreathe:allow hotpath pool spawn happens once at startup, not per report
-		go m.workerLoop(i, workers[i].q)
-	}
-	m.metrics.ShardWorkers.Set(float64(len(workers)))
-	assign := make(map[uint64]int) //tagbreathe:allow hotpath one assignment table per monitor lifetime, built before the loop
-	var nextUpdate time.Duration
-	started := false
-
-	// Quality-aware shedding (OverloadDropNewest only): once a queue is
-	// near capacity, redundant-vantage reports are shed proactively so
-	// the remaining slots carry primary data; hard-full drops are
-	// classified the same way. Without the ladder the watermark sits at
-	// the last eighth of the queue. With the ladder it sits midway
-	// between the engage mark and capacity: strictly above engage,
-	// because shedding redundant vantages is the rung AFTER tick
-	// stretching (DESIGN.md §13) — were the marks equal, watermark
-	// shedding would clamp broadcast-time occupancy just below engage
-	// and the ladder could never climb — while the half-queue of
-	// headroom above it absorbs the primary-vantage inflow that lands
-	// while the gates close. Counter handles are resolved once — the
-	// per-shed cost is one atomic increment.
-	shedMark := m.cfg.ShardQueue - m.cfg.ShardQueue/8
-	if m.cfg.Degrade.enabled() {
-		d := m.cfg.Degrade
-		d.fillDefaults()
-		engage := int(float64(m.cfg.ShardQueue) * d.EngageFraction)
-		shedMark = (engage + m.cfg.ShardQueue) / 2
-	}
-	if shedMark < 1 {
-		shedMark = 1
-	}
-	//tagbreathe:allow hotpath three class counter handles resolved once before the loop
-	shedBy := [...]*obs.Counter{
-		ShedUnknown:   m.metrics.ShedByClass.With(ShedUnknown.String()),
-		ShedPrimary:   m.metrics.ShedByClass.With(ShedPrimary.String()),
-		ShedRedundant: m.metrics.ShedByClass.With(ShedRedundant.String()),
-	}
-	shed := func(r reader.TagReport, cls ShedClass) {
-		m.tracer.Abort(r.TraceID) // shed with the report
-		m.metrics.Dropped.Inc()
-		shedBy[cls].Inc()
-	}
-
-	// Redundant vantages are shed coherently, not report-by-report: the
-	// differencer's streams are per (vantage, channel), and a stream
-	// that keeps receiving occasional reads while its siblings starve
-	// pins the finality horizon (EarliestOpenStream) for MaxPhaseGap —
-	// stalling the user's primary chain too. So the first redundant
-	// report shed for a vantage closes a gate: that report travels to
-	// the worker as a tombstone (Engine.CloseVantage retires the phase
-	// streams), everything after it is shed at the door, and the gate
-	// reopens — streams re-prime naturally — once the queue drains to
-	// half the shed watermark or the vantage stops being redundant.
-	reopenMark := shedMark / 2
-	gated := make(map[gateKey]struct{}) //tagbreathe:allow hotpath gate set built once before the loop; entries churn only on shed transitions
-
-	broadcast := func(asOf time.Duration) {
-		// One descriptor per tick (1/UpdateEvery), not per report: the
-		// clock read here is the tick's cached wall time and the result
-		// channel's capacity is the worker count.
-		//tagbreathe:allow hotpath per-tick descriptor; one clock read and one bounded channel per broadcast
-		tick := &monitorTick{
-			asOf:    asOf,
-			workers: len(workers),
-			results: make(chan shardResult, len(workers)),
-			wall:    time.Now(),
-		}
-		for i := range workers {
-			// Ticks always block; they are rare. occ is the backlog ahead
-			// of this tick — the governor's pressure signal.
-			workers[i].q <- shardInput{tick: tick, occ: len(workers[i].q)}
-		}
-		m.metrics.Ticks.Inc()
-		ticks <- tick
-	}
-
-	for r := range m.in {
-		m.metrics.Ingested.Inc()
-		uid := r.EPC.UserID()
-		if !m.cfg.Pipeline.allowsUser(uid) {
-			m.tracer.Abort(r.TraceID) // filtered out: the trace will never complete
-			continue
-		}
-		if !started {
-			started = true
-			nextUpdate = r.Timestamp + m.cfg.Window
-		}
-		wi, ok := assign[uid]
-		if !ok {
-			// Round-robin in first-seen order: deterministic for a given
-			// stream, and balanced when users arrive interleaved.
-			wi = len(assign) % len(workers)
-			assign[uid] = wi
-			m.metrics.ActiveUsers.Set(float64(len(assign)))
-		}
-		w := &workers[wi]
-		if m.cfg.Overload == OverloadDropNewest {
-			gk := gateKey{uid: uid, v: vantage{reader: r.ReaderID, port: r.AntennaPort}}
-			_, closed := gated[gk]
-			if closed && len(w.q) > reopenMark && m.VantageClass(uid, r.ReaderID, r.AntennaPort) == ShedRedundant {
-				// Gate held closed: the whole vantage stays silent until
-				// pressure clears (or selection moves onto it).
-				shed(r, ShedRedundant)
-			} else {
-				if closed {
-					delete(gated, gk)
-					m.metrics.VantageGates.Set(float64(len(gated)))
-				}
-				if len(w.q) >= shedMark && m.VantageClass(uid, r.ReaderID, r.AntennaPort) == ShedRedundant {
-					// Near-full: sacrifice redundant oversampling before
-					// the queue can reject primary data. The report is
-					// shed, but it travels as a tombstone so the worker
-					// retires the vantage's phase streams.
-					select {
-					case w.q <- shardInput{report: r, closeVantage: true}:
-						gated[gk] = struct{}{}
-						m.metrics.VantageGates.Set(float64(len(gated)))
-						m.metrics.VantageGateCloses.Inc()
-					default:
-						// No room for the tombstone; the gate stays open
-						// and the next redundant report retries.
-					}
-					shed(r, ShedRedundant)
-				} else {
-					select {
-					case w.q <- shardInput{report: r}:
-						m.tracer.Stamp(r.TraceID, obs.StageDemux)
-					default:
-						shed(r, m.VantageClass(uid, r.ReaderID, r.AntennaPort))
-					}
-				}
-			}
-		} else {
-			w.q <- shardInput{report: r}
-			m.tracer.Stamp(r.TraceID, obs.StageDemux)
-		}
-		w.hw.SetMax(float64(len(w.q)))
-
-		if r.Timestamp >= nextUpdate {
-			broadcast(r.Timestamp)
-			nextUpdate += m.cfg.UpdateEvery
-			// A long read gap can leave nextUpdate behind the stream;
-			// snap it forward so updates stay timely.
-			if nextUpdate <= r.Timestamp {
-				nextUpdate = r.Timestamp + m.cfg.UpdateEvery
-			}
-		}
-	}
-	if started {
-		broadcast(nextUpdate)
-	}
-	for i := range workers {
-		close(workers[i].q)
-	}
-	close(ticks)
-}
-
 // workerLoop is one shard worker: an event loop owning the complete
-// pipeline state of every user the demux assigned to it — the only
+// pipeline state of every user the router assigned to it — the only
 // writer of those engines, ever. It feeds each report into its user's
 // stage engine as it arrives (so differencing and Eq. 6 fusion are
 // already done when a tick lands) and answers ticks by analyzing all
@@ -682,6 +500,9 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 	// capacity: a pathological burst of sampled reports between ticks
 	// aborts the excess (counted as dropped) instead of growing it.
 	open := make([]uint64, 0, maxOpenTraces)
+	// window is the FFT tick's bin buffer, one per worker: its engines
+	// tick one at a time, so they share it.
+	window := new([]float64)
 
 	for in := range q {
 		if in.tick != nil {
@@ -689,7 +510,7 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 			occ := 0
 			stretch := 1
 			if gov != nil {
-				// Occupancy as sampled by the demux when it broadcast this
+				// Occupancy as sampled by the router when it broadcast this
 				// tick: the backlog that was queued ahead of it — near zero
 				// for a worker that keeps up, the accrued backlog when it
 				// does not.
@@ -759,7 +580,7 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 		}
 		r := in.report
 		if in.closeVantage {
-			// Vantage-gate tombstone: the demux silenced this (reader,
+			// Vantage-gate tombstone: the router silenced this (reader,
 			// antenna) vantage; retire its phase streams so they cannot
 			// pin the finality horizon. The report itself was already
 			// counted shed.
@@ -779,6 +600,7 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 				ApneaAlarmSec: m.cfg.ApneaAlarmSec,
 				UserID:        uid,
 				Metrics:       m.metrics,
+				window:        window,
 			})
 			engines[uid] = eng
 			order = append(order, eng)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,6 +111,51 @@ func TestMonitorStopIsIdempotentAndSafe(t *testing.T) {
 	m.Stop() // second stop must not panic or deadlock
 	if m.Ingest(res.Reports[100]) {
 		t.Error("ingest accepted after stop")
+	}
+}
+
+// TestMonitorIngestRacingStop stops a monitor while several producers
+// are mid-ingest. Every Ingest must return — true before the input
+// closed, false after — without panicking, and every report accepted
+// must reach a shard worker.
+func TestMonitorIngestRacingStop(t *testing.T) {
+	res := runScenario(t, 26, func(sc *sim.Scenario) { sc.Duration = 30 * time.Second })
+	m := core.NewMonitor(core.MonitorConfig{ShardWorkers: 2, UpdateEvery: 100 * time.Millisecond})
+	const producers = 4
+	var wg sync.WaitGroup
+	var accepted [producers]int
+	started := make(chan struct{}, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started <- struct{}{}
+			for i := 0; ; i++ {
+				if !m.Ingest(res.Reports[i%len(res.Reports)]) {
+					return
+				}
+				accepted[p]++
+			}
+		}()
+	}
+	for p := 0; p < producers; p++ {
+		<-started
+	}
+	time.Sleep(20 * time.Millisecond)
+	m.Stop()
+	wg.Wait() // every producer saw false
+	if m.Ingest(res.Reports[0]) {
+		t.Fatal("Ingest accepted a report after Stop")
+	}
+	total := 0
+	for _, n := range accepted {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no report was accepted before Stop")
+	}
+	if got := m.ProcessedReports(); got != uint64(total) {
+		t.Fatalf("workers processed %d reports, producers had %d accepted", got, total)
 	}
 }
 

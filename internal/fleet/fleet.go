@@ -9,26 +9,28 @@
 // pipeline's (reader, antenna) selection merges overlapping coverage
 // deterministically instead of double-counting it.
 //
-// Flow control follows the monitor's shard-queue discipline one level
-// up: each reader's pump never blocks on the merged channel. When the
-// consumer falls behind, the pump sheds the incoming report and counts
-// it against the originating reader (Metrics.ReaderShed) — so a
-// stalled consumer degrades every reader fairly and visibly, and no
-// single slow path can wedge the fleet. A reader that stalls or dies
-// simply stops producing; its session reconnects with backoff while
-// the other readers' streams keep flowing.
+// Each reader's session delivers straight into the merged channel from
+// its connection's decode goroutine (llrp.SessionConfig.Deliver): there
+// is no per-reader pump and no per-reader buffer. Flow control follows
+// the monitor's shard-queue discipline one level up: delivery never
+// blocks on the merged channel. When the consumer falls behind, the
+// incoming report is shed and counted against the originating reader
+// (Metrics.ReaderShed) — so a stalled consumer degrades every reader
+// fairly and visibly, and no single slow path can wedge the fleet. A
+// reader that stalls or dies simply stops producing; its session
+// reconnects with backoff while the other readers' streams keep
+// flowing.
 //
-// Shedding is quality-aware when Config.ShedClass is set: a pump under
-// pressure sacrifices reports from non-selected (reader, antenna)
+// Shedding is quality-aware when Config.ShedClass is set: a reader
+// under pressure sacrifices reports from non-selected (reader, antenna)
 // vantages before primary data, and it does so coherently — once a
-// redundant vantage is shed, a per-pump gate silences the whole
+// redundant vantage is shed, a per-reader gate silences the whole
 // vantage until pressure clears. Thinning a vantage report-by-report
 // would leave some of its per-channel phase streams half-alive, and a
 // stream that keeps receiving occasional reads pins the pipeline's
 // finality horizon for MaxPhaseGap, stalling the user's primary chain
 // too; full silence expires cleanly. Every shed is partitioned by
-// class in Metrics.ReaderShedByClass, session-level drop-oldest
-// evictions included (llrp.SessionConfig.OnShed).
+// class in Metrics.ReaderShedByClass.
 package fleet
 
 import (
@@ -67,10 +69,12 @@ type Config struct {
 	// Readers is the initial registry; more can be added at runtime.
 	Readers []ReaderConfig
 	// Session is the template for every entry's supervised session:
-	// ROSpec, timeouts, backoff, watchdog, overload policy, client
-	// metrics, tracer, and logger all apply per reader. Addr, ReaderID,
-	// and Metrics are per-entry and overwritten by the fleet (each
-	// entry gets private session instruments — see Metrics for why).
+	// ROSpec, timeouts, backoff, watchdog, client metrics, tracer, and
+	// logger all apply per reader. Addr, ReaderID, Metrics, and Deliver
+	// are per-entry and overwritten by the fleet (each entry gets
+	// private session instruments — see Metrics for why); the session
+	// overload policy and buffer go unused, since every session delivers
+	// into the merged channel.
 	Session llrp.SessionConfig
 	// ReportBuffer sizes the merged report channel; default 4096 (it
 	// absorbs N readers' bursts, so it defaults deeper than one
@@ -78,12 +82,11 @@ type Config struct {
 	ReportBuffer int
 	// ShedClass classifies a report's vantage for quality-aware
 	// shedding — typically core.Monitor.VantageClass adapted by the
-	// caller. When set, pumps shed redundant-vantage reports first
+	// caller. When set, readers shed redundant-vantage reports first
 	// (coherently, per-vantage gates) as the merged channel nears
-	// capacity, and every shed — merge-level or session drop-oldest —
-	// is counted by class. It is called from pump and session
-	// goroutines concurrently and must be safe and cheap. Nil sheds
-	// classlessly (all sheds count as unknown).
+	// capacity, and every shed is counted by class. It is called from
+	// every reader's decode goroutine concurrently and must be safe and
+	// cheap. Nil sheds classlessly (all sheds count as unknown).
 	ShedClass func(r reader.TagReport) core.ShedClass
 	// Metrics receives the fleet's instrumentation (see NewMetrics).
 	// Nil builds private, unexposed instruments.
@@ -91,7 +94,8 @@ type Config struct {
 }
 
 // entry is one registered reader: its supervised session, its private
-// session instruments, and its pre-resolved labeled metric handles.
+// session instruments, its pre-resolved labeled metric handles, and
+// its vantage gates.
 type entry struct {
 	cfg  ReaderConfig
 	sess *llrp.Session
@@ -105,16 +109,25 @@ type entry struct {
 	stateG   *obs.Gauge
 	reconG   *obs.Gauge
 
-	// done closes when the entry's pump goroutine exits, so Remove can
-	// wait for the entry to be fully quiescent.
-	done chan struct{}
+	// gated holds the reader's closed vantage gates. A vantage belongs
+	// to exactly one reader, and a session delivers on one decode
+	// goroutine at a time, so the set needs no lock.
+	//
+	//tagbreathe:owner deliver Add
+	gated map[gateKey]struct{}
+}
+
+// gateKey identifies one vantage within a reader: every report an
+// entry delivers shares the reader.
+type gateKey struct {
+	uid  uint64
+	port int
 }
 
 // Fleet is a running reader-fleet registry. All methods are safe for
 // concurrent use. Close (or cancelling the start context plus Close)
-// tears down every session and pump before Reports closes; the fleet
-// owns no goroutine past Close (project style: no fire-and-forget
-// goroutines).
+// tears down every session before Reports closes; the fleet owns no
+// goroutine past Close (project style: no fire-and-forget goroutines).
 type Fleet struct {
 	tmpl     llrp.SessionConfig
 	metrics  *Metrics
@@ -122,14 +135,19 @@ type Fleet struct {
 	classify func(r reader.TagReport) core.ShedClass
 
 	reports chan reader.TagReport
-	ctx     context.Context
-	cancel  context.CancelFunc
+	// shedMark and reopenMark are the merged-channel depths at which a
+	// redundant vantage's gate closes and reopens.
+	shedMark, reopenMark int
+	ctx                  context.Context
+	cancel               context.CancelFunc
 
 	mu      sync.Mutex
 	entries map[string]*entry
 	closed  bool
 
-	pumps     sync.WaitGroup
+	// live counts sessions not yet closed by Remove or Close: Reports
+	// closes only once no session can deliver into it.
+	live      sync.WaitGroup
 	closeOnce sync.Once
 }
 
@@ -145,16 +163,19 @@ func Start(ctx context.Context, cfg Config) (*Fleet, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
 	}
+	shedMark := max(cfg.ReportBuffer-cfg.ReportBuffer/8, 1)
 	fctx, cancel := context.WithCancel(ctx)
 	f := &Fleet{
-		tmpl:     cfg.Session,
-		metrics:  cfg.Metrics,
-		tracer:   cfg.Session.Tracer,
-		classify: cfg.ShedClass,
-		reports:  make(chan reader.TagReport, cfg.ReportBuffer),
-		ctx:      fctx,
-		cancel:   cancel,
-		entries:  make(map[string]*entry),
+		tmpl:       cfg.Session,
+		metrics:    cfg.Metrics,
+		tracer:     cfg.Session.Tracer,
+		classify:   cfg.ShedClass,
+		reports:    make(chan reader.TagReport, cfg.ReportBuffer),
+		shedMark:   shedMark,
+		reopenMark: shedMark / 2,
+		ctx:        fctx,
+		cancel:     cancel,
+		entries:    make(map[string]*entry),
 	}
 	for _, rc := range cfg.Readers {
 		if err := f.Add(rc); err != nil {
@@ -214,15 +235,11 @@ func (f *Fleet) Add(rc ReaderConfig) error {
 		shed:     f.metrics.ReaderShed.With(lbl),
 		stateG:   f.metrics.ReaderState.With(lbl),
 		reconG:   f.metrics.ReaderReconnects.With(lbl),
-		done:     make(chan struct{}),
 	}
 	for cls := core.ShedUnknown; cls <= core.ShedRedundant; cls++ {
 		e.shedBy[cls] = f.metrics.ReaderShedByClass.With(lbl, cls.String()) //tagbreathe:allow metrichygiene cls ranges over the three fixed ShedClass values
 	}
-	// Session-level drop-oldest evictions join the same per-class
-	// accounting as merge-level sheds; the hook runs on the session's
-	// forward pump, so it only classifies and counts.
-	scfg.OnShed = func(r reader.TagReport) { e.shedBy[f.class(r)].Inc() }
+	scfg.Deliver = func(r reader.TagReport) { f.deliver(e, r) }
 	sess, err := llrp.StartSession(f.ctx, scfg)
 	if err != nil {
 		return fmt.Errorf("fleet: reader %q: %w", rc.Name, err)
@@ -231,14 +248,22 @@ func (f *Fleet) Add(rc ReaderConfig) error {
 	f.entries[rc.Name] = e
 	f.metrics.Added.Inc()
 	f.metrics.Readers.Set(float64(len(f.entries)))
-	f.pumps.Add(1)
-	go f.pump(e)
+	f.live.Add(1)
 	return nil
 }
 
-// Remove unregisters a reader: its session closes, its pump drains and
-// exits, and only then does Remove return — the entry is fully
-// quiescent. The merged channel stays open for the remaining readers.
+// retire closes an entry's session — waiting until its decode
+// goroutine can deliver no more — and releases its hold on Reports.
+// Each entry is retired exactly once, by Remove or by Close.
+func (f *Fleet) retire(e *entry) {
+	e.sess.Close()
+	f.live.Done()
+}
+
+// Remove unregisters a reader: its session closes, and only once its
+// decode goroutine has delivered its last report does Remove return —
+// the entry is fully quiescent. The merged channel stays open for the
+// remaining readers.
 func (f *Fleet) Remove(name string) error {
 	f.mu.Lock()
 	e, ok := f.entries[name]
@@ -251,8 +276,7 @@ func (f *Fleet) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("fleet: reader %q not registered", name)
 	}
-	e.sess.Close()
-	<-e.done
+	f.retire(e)
 	e.stateG.Set(float64(llrp.SessionClosed))
 	return nil
 }
@@ -277,68 +301,57 @@ func (f *Fleet) class(r reader.TagReport) core.ShedClass {
 	return f.classify(r)
 }
 
-// pump forwards one reader's session stream onto the merged channel,
-// shedding (never blocking) when the channel is full, until the
-// session's Reports channel closes. With a classifier configured the
-// shedding is quality-aware: as the channel nears capacity the pump
-// sheds redundant-vantage reports first, and it silences a shed
-// vantage coherently (per-pump gate, reopened when pressure clears or
+// deliver is an entry's llrp.SessionConfig.Deliver hook: it places one
+// report on the merged channel, shedding (never blocking) when the
+// channel is full. With a classifier configured the shedding is
+// quality-aware: as the channel nears capacity the reader sheds
+// redundant-vantage reports first, and it silences a shed vantage
+// coherently (per-reader gate, reopened when pressure clears or
 // selection moves onto the vantage) — see the package comment for why
 // report-by-report thinning would stall the pipeline's finality
-// horizon. Gates are per pump: a vantage belongs to exactly one
-// reader, so no cross-pump state is needed.
-func (f *Fleet) pump(e *entry) {
-	defer f.pumps.Done()
-	defer close(e.done)
-	shedMark := cap(f.reports) - cap(f.reports)/8
-	if shedMark < 1 {
-		shedMark = 1
-	}
-	reopenMark := shedMark / 2
-	// gateKey omits the reader: every report in this pump shares one.
-	type gateKey struct {
-		uid  uint64
-		port int
-	}
-	var gated map[gateKey]struct{} // allocated on first gate close
-	shed := func(r reader.TagReport, cls core.ShedClass) {
-		e.shed.Inc()
-		e.shedBy[cls].Inc()
-		f.tracer.Abort(r.TraceID)
-	}
-	for r := range e.sess.Reports() {
-		if f.classify != nil {
-			gk := gateKey{uid: r.EPC.UserID(), port: r.AntennaPort}
-			_, closed := gated[gk]
-			if closed {
-				if len(f.reports) > reopenMark && f.classify(r) == core.ShedRedundant {
-					shed(r, core.ShedRedundant)
-					continue
-				}
-				delete(gated, gk)
+// horizon.
+//
+//tagbreathe:hotpath runs once per tag read on the reader's decode goroutine
+func (f *Fleet) deliver(e *entry, r reader.TagReport) {
+	if f.classify != nil {
+		gk := gateKey{uid: r.EPC.UserID(), port: r.AntennaPort}
+		_, closed := e.gated[gk]
+		if closed {
+			if len(f.reports) > f.reopenMark && f.classify(r) == core.ShedRedundant {
+				f.shed(e, r, core.ShedRedundant)
+				return
 			}
-			if len(f.reports) >= shedMark && f.classify(r) == core.ShedRedundant {
-				if gated == nil {
-					gated = make(map[gateKey]struct{})
-				}
-				gated[gk] = struct{}{}
-				shed(r, core.ShedRedundant)
-				continue
-			}
+			delete(e.gated, gk)
 		}
-		select {
-		case f.reports <- r:
-			e.received.Inc()
-			depth := float64(len(f.reports))
-			f.metrics.MergedQueue.Set(depth)
-			f.metrics.MergedQueueHighWater.SetMax(depth)
-		default:
-			// Merged channel full: shed this report rather than let a
-			// stalled consumer backpressure the whole fleet through one
-			// pump. Counted per reader; the trace (if sampled) ends here.
-			shed(r, f.class(r))
+		if len(f.reports) >= f.shedMark && f.classify(r) == core.ShedRedundant {
+			if e.gated == nil {
+				e.gated = make(map[gateKey]struct{}) //tagbreathe:allow hotpath built on a reader's first gate close, under overload
+			}
+			e.gated[gk] = struct{}{}
+			f.shed(e, r, core.ShedRedundant)
+			return
 		}
 	}
+	select {
+	case f.reports <- r:
+		e.received.Inc()
+		depth := float64(len(f.reports))
+		f.metrics.MergedQueue.Set(depth)
+		f.metrics.MergedQueueHighWater.SetMax(depth)
+	default:
+		// Merged channel full: shed this report rather than let a
+		// stalled consumer backpressure the whole fleet through one
+		// reader. Counted per reader; the trace (if sampled) ends here.
+		f.shed(e, r, f.class(r))
+	}
+}
+
+// shed counts one report dropped at the merge against its reader and
+// class, and ends its trace.
+func (f *Fleet) shed(e *entry, r reader.TagReport, cls core.ShedClass) {
+	e.shed.Inc()
+	e.shedBy[cls].Inc()
+	f.tracer.Abort(r.TraceID)
 }
 
 // Size returns the number of registered readers.
@@ -364,8 +377,8 @@ type ReaderStatus struct {
 	// reports dropped at the full merged channel.
 	Reports uint64 `json:"reports"`
 	Shed    uint64 `json:"shed"`
-	// ShedByClass splits Shed (plus session drop-oldest evictions) by
-	// vantage class; zero classes are omitted.
+	// ShedByClass splits Shed by vantage class; zero classes are
+	// omitted.
 	ShedByClass map[string]uint64 `json:"shed_by_class,omitempty"`
 }
 
@@ -478,8 +491,8 @@ func (f *Fleet) WaitUp(ctx context.Context) error {
 	return nil
 }
 
-// Close tears the fleet down: every session closes, every pump drains
-// and exits, and the merged Reports channel closes. Idempotent and
+// Close tears the fleet down: every session closes, and once none can
+// deliver any more the merged Reports channel closes. Idempotent and
 // safe to call concurrently.
 func (f *Fleet) Close() error {
 	f.closeOnce.Do(func() {
@@ -492,9 +505,10 @@ func (f *Fleet) Close() error {
 		f.mu.Unlock()
 		f.cancel()
 		for _, e := range es {
-			e.sess.Close()
+			f.retire(e)
 		}
-		f.pumps.Wait()
+		// A concurrent Remove may still be retiring its entry.
+		f.live.Wait()
 		close(f.reports)
 	})
 	return nil

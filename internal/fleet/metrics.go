@@ -29,11 +29,10 @@ type Metrics struct {
 	// discipline (see Fleet.Reports).
 	ReaderShed *obs.CounterVec
 	// ReaderShedByClass splits each reader's sheds by vantage class
-	// (primary / redundant / unknown). It covers both merge-level sheds
-	// (watermark gating and a full channel) and session drop-oldest
-	// evictions surfaced via the OnShed hook; with quality-aware
-	// shedding configured the primary series staying flat under
-	// pressure is the invariant dashboards should alert on.
+	// (primary / redundant / unknown), both watermark gating and a
+	// full channel; with quality-aware shedding configured the primary
+	// series staying flat under pressure is the invariant dashboards
+	// should alert on.
 	ReaderShedByClass *obs.CounterVec
 	// Added and Removed count registry lifecycle operations
 	// (Reconfigure is one remove plus one add).

@@ -38,8 +38,16 @@ type Client struct {
 	err     error
 	closed  bool
 
+	// reports buffers a raw client's decoded reports; nil when deliver
+	// is set.
 	reports chan reader.TagReport
-	readWG  sync.WaitGroup
+	// deliver, when set, receives each decoded report on the read loop
+	// goroutine in place of the reports channel; false ends the loop.
+	// A Session sets it so reports reach the session's stable channel
+	// (or its delivery hook) without a hand-off of their own.
+	deliver func(r reader.TagReport) bool
+	// done closes when the read loop has exited.
+	done chan struct{}
 }
 
 // Dial connects to an LLRP endpoint and waits for the reader's
@@ -79,6 +87,12 @@ func DialContextWithMetrics(ctx context.Context, addr string, m *ClientMetrics) 
 // the client stamps obs.StageRead on sampled reports as they are
 // decoded. A nil tracer traces nothing.
 func DialContextTraced(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
+	return dialClient(ctx, addr, m, tr, nil)
+}
+
+// dialClient is DialContextTraced with an optional delivery sink (see
+// Client.deliver).
+func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -87,7 +101,7 @@ func DialContextTraced(ctx context.Context, addr string, m *ClientMetrics, tr *o
 	// The handshake below is a blocking read; closing the socket is the
 	// only way to abort it when ctx ends first.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	c, err := NewClientTraced(conn, m, tr)
+	c, err := newClient(conn, m, tr, deliver)
 	if !stop() && err != nil {
 		// The AfterFunc already ran: ctx ended mid-handshake, and the
 		// read error is just the closed socket. Surface the cause.
@@ -109,6 +123,10 @@ func NewClientWithMetrics(conn net.Conn, m *ClientMetrics) (*Client, error) {
 
 // NewClientTraced is NewClientWithMetrics with pipeline tracing.
 func NewClientTraced(conn net.Conn, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
+	return newClient(conn, m, tr, nil)
+}
+
+func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
 	if m == nil {
 		m = NewClientMetrics(nil)
 	}
@@ -118,7 +136,11 @@ func NewClientTraced(conn net.Conn, m *ClientMetrics, tr *obs.Tracer) (*Client, 
 		tracer:  tr,
 		nextID:  1,
 		pending: make(map[uint32]chan Message),
-		reports: make(chan reader.TagReport, 1024),
+		deliver: deliver,
+		done:    make(chan struct{}),
+	}
+	if deliver == nil {
+		c.reports = make(chan reader.TagReport, 1024)
 	}
 	// The reader speaks first: a ReaderEventNotification announcing
 	// the connection attempt result.
@@ -132,7 +154,6 @@ func NewClientTraced(conn net.Conn, m *ClientMetrics, tr *obs.Tracer) (*Client, 
 		return nil, fmt.Errorf("llrp: expected READER_EVENT_NOTIFICATION, got %v", hello.Type)
 	}
 	c.lastActivity.Store(time.Now().UnixNano())
-	c.readWG.Add(1)
 	go c.readLoop()
 	return c, nil
 }
@@ -146,7 +167,8 @@ func (c *Client) LastActivity() time.Time {
 }
 
 // Reports returns the stream of decoded tag reports. The channel is
-// closed when the connection ends.
+// closed when the connection ends. It is nil for the clients a Session
+// dials, which deliver each report on the read goroutine instead.
 func (c *Client) Reports() <-chan reader.TagReport {
 	return c.reports
 }
@@ -170,7 +192,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		c.readWG.Wait()
+		<-c.done
 		return nil
 	}
 	c.closed = true
@@ -182,7 +204,7 @@ func (c *Client) Close() error {
 	_ = c.conn.SetWriteDeadline(time.Now().Add(time.Second))
 	_ = c.send(Message{Type: MsgCloseConnection, ID: c.allocID()})
 	err := c.conn.Close()
-	c.readWG.Wait()
+	<-c.done
 	return err
 }
 
@@ -308,36 +330,46 @@ func (c *Client) DeleteROSpec(id uint32) error {
 	return c.requestStatus(MsgDeleteROSpec, EncodeROSpecID(id), defaultRequestTimeout)
 }
 
-// readLoop dispatches inbound messages: responses to waiters, tag
-// reports to the report channel, keepalives to automatic acks.
+// errDeliveryStopped ends a read loop whose owner refused a report: it
+// is tearing the connection down, so Err reports no failure.
+var errDeliveryStopped = fmt.Errorf("llrp: report delivery stopped: %w", net.ErrClosed)
+
+// readLoop runs the connection's inbound side until it ends, then
+// records why, releases request waiters, and closes Reports.
 func (c *Client) readLoop() {
-	defer c.readWG.Done()
-	defer close(c.reports)
+	defer close(c.done)
+	err := c.dispatch()
+	c.mu.Lock()
+	c.err = err
+	for id, ch := range c.pending {
+		close(ch)
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if c.reports != nil {
+		close(c.reports)
+	}
+}
+
+// dispatch routes inbound messages — responses to waiters, tag reports
+// to Reports or the delivery sink, keepalives to automatic acks —
+// until a read, decode, or ack fails or the sink refuses a report.
+func (c *Client) dispatch() error {
 	for {
 		m, err := ReadMessage(c.conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				c.metrics.Errors.With("read").Inc()
 			}
-			c.mu.Lock()
-			c.err = err
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
-			return
+			return err
 		}
 		c.lastActivity.Store(time.Now().UnixNano())
 		switch m.Type {
 		case MsgROAccessReport:
-			reports, derr := DecodeTagReports(m.Payload)
-			if derr != nil {
+			reports, err := DecodeTagReports(m.Payload)
+			if err != nil {
 				c.metrics.Errors.With("decode").Inc()
-				c.mu.Lock()
-				c.err = derr
-				c.mu.Unlock()
-				return
+				return err
 			}
 			c.metrics.Reports.Add(uint64(len(reports)))
 			for i := range reports {
@@ -345,17 +377,18 @@ func (c *Client) readLoop() {
 				// decoded report exists, so downstream stages inherit the
 				// reader-side origin instead of re-stamping on ingest.
 				reports[i].TraceID = c.tracer.Begin(obs.StageRead)
-				c.reports <- reports[i]
+				if c.deliver == nil {
+					c.reports <- reports[i]
+				} else if !c.deliver(reports[i]) {
+					return errDeliveryStopped
+				}
 			}
 		case MsgKeepalive:
 			// LLRP requires the client to acknowledge keepalives or
 			// the reader drops the connection.
 			c.metrics.Keepalives.Inc()
 			if err := c.send(Message{Type: MsgKeepaliveAck, ID: m.ID}); err != nil {
-				c.mu.Lock()
-				c.err = err
-				c.mu.Unlock()
-				return
+				return err
 			}
 		case MsgReaderEventNotification:
 			// Informational; ignore.

@@ -49,19 +49,19 @@ func (s SessionState) String() string {
 	}
 }
 
-// ReportsOverload selects what the session's forward pump does when
-// the stable Reports channel is full — the session-edge mirror of the
-// monitor's shard-queue OverloadPolicy.
+// ReportsOverload selects what the session does with a decoded report
+// when the stable Reports channel is full — the session-edge mirror of
+// the monitor's shard-queue OverloadPolicy.
 type ReportsOverload int
 
 const (
-	// ReportsBlock (the default) applies backpressure: the forward pump
-	// waits for the consumer, so no report is ever lost and the TCP
-	// window eventually throttles the reader. One stalled consumer
-	// stalls this session's stream (and only this session's).
+	// ReportsBlock (the default) applies backpressure: the connection's
+	// decode goroutine waits for the consumer, so no report is ever lost
+	// and the TCP window eventually throttles the reader. One stalled
+	// consumer stalls this session's stream (and only this session's).
 	ReportsBlock ReportsOverload = iota
 	// ReportsDropOldest sheds load by age: when the channel is full the
-	// pump evicts the oldest buffered report (counting it in
+	// session evicts the oldest buffered report (counting it in
 	// SessionMetrics.ReportsShed) to make room for the newest. Breathing
 	// is heavily oversampled relative to the 0.67 Hz band, so shedding
 	// the stalest samples degrades SNR, not correctness — and keeps the
@@ -74,15 +74,21 @@ const (
 type SessionConfig struct {
 	// Addr is the LLRP endpoint (required).
 	Addr string
-	// ReaderID names this reader in the fleet: every report forwarded on
+	// ReaderID names this reader in the fleet: every report delivered on
 	// Reports carries it (reader.TagReport.ReaderID), so downstream
 	// stages can tell overlapping readers apart. Empty leaves reports
 	// unnamed — the single-reader legacy path.
 	ReaderID string
-	// Overload selects the forward pump's policy when the Reports
-	// channel is full: ReportsBlock (default, lossless backpressure) or
+	// Overload selects the policy when the Reports channel is full:
+	// ReportsBlock (default, lossless backpressure) or
 	// ReportsDropOldest (evict the stalest buffered report, count it).
 	Overload ReportsOverload
+	// Deliver, when set, receives every report in place of the Reports
+	// channel, which then stays nil (and Overload and ReportBuffer go
+	// unused). It runs on the connection's decode goroutine, one report
+	// at a time and in stream order, and must not block: a fleet hangs
+	// its never-blocking merge here.
+	Deliver func(r reader.TagReport)
 	// ROSpec is provisioned (add → enable → start) after every
 	// connect, so the report stream resumes without operator action.
 	// ROSpecID 0 is replaced with 1.
@@ -116,23 +122,14 @@ type SessionConfig struct {
 	// Metrics receives the session's instrumentation (see
 	// NewSessionMetrics). Nil builds private, unexposed instruments.
 	Metrics *SessionMetrics
-	// OnShed, when set, observes every report the ReportsDropOldest
-	// policy evicts (the evicted report, not the incoming one) — the
-	// session-level overload hook quality-aware shedding hangs off.
-	// It runs on the session's forward pump goroutine: keep it cheap
-	// and non-blocking (classify and count, nothing more). Nil
-	// observes nothing.
-	OnShed func(r reader.TagReport)
 	// Tracer samples end-to-end pipeline traces across reconnects: each
-	// client stamps obs.StageRead at frame decode and the forward pump
-	// stamps obs.StageForward, so reader-side queue wait is visible.
-	// Nil traces nothing.
+	// client stamps obs.StageRead at frame decode and the session stamps
+	// obs.StageForward once the report is on Reports (or handed to
+	// Deliver), both on the decode goroutine. Nil traces nothing.
 	Tracer *obs.Tracer
 	// Logf receives lifecycle logs; nil silences them.
 	Logf func(format string, args ...any)
 
-	// dial overrides connection setup in tests.
-	dial func(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer) (*Client, error)
 	// backoffSeed seeds the jitter source in tests (0: time-seeded).
 	backoffSeed int64
 }
@@ -171,9 +168,6 @@ func (c *SessionConfig) fillDefaults() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.dial == nil {
-		c.dial = DialContextTraced
-	}
 }
 
 // Session is a managed, self-healing LLRP connection: it dials the
@@ -191,6 +185,11 @@ func (c *SessionConfig) fillDefaults() {
 // clock: commodity readers timestamp reports from a clock that keeps
 // running while the host is away, which is exactly what the
 // timestamp-ordered pipeline needs.
+//
+// Each live connection runs two goroutines: the client's decode loop,
+// which delivers every report straight onto Reports (or to
+// SessionConfig.Deliver) under the overload policy, and the session's
+// supervisor, which waits the link out and runs the watchdog.
 //
 // Close (or cancelling the start context) ends the session and closes
 // Reports once in-flight goroutines unwind; the session owns no
@@ -225,10 +224,9 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	}
 	cfg.fillDefaults()
 	sctx, cancel := context.WithCancelCause(ctx)
-	s := &Session{
-		cfg:     cfg,
-		reports: make(chan reader.TagReport, cfg.ReportBuffer),
-		cancel:  cancel,
+	s := &Session{cfg: cfg, cancel: cancel}
+	if cfg.Deliver == nil {
+		s.reports = make(chan reader.TagReport, cfg.ReportBuffer)
 	}
 	s.setState(SessionConnecting)
 	s.wg.Add(1)
@@ -238,7 +236,8 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 
 // Reports returns the stable report stream. Unlike Client.Reports, the
 // channel survives reconnects; it closes only when the session ends
-// (Close, context cancellation, or MaxAttempts exhausted).
+// (Close, context cancellation, or MaxAttempts exhausted). It is nil
+// when SessionConfig.Deliver receives the reports instead.
 func (s *Session) Reports() <-chan reader.TagReport {
 	return s.reports
 }
@@ -309,7 +308,7 @@ func (s *Session) Close() error {
 		c := s.client
 		s.mu.Unlock()
 		if c != nil {
-			c.Close() // unblock the forward loop promptly
+			c.Close() // end the live link promptly
 		}
 	})
 	s.wg.Wait()
@@ -327,12 +326,16 @@ func (s *Session) noteErr(err error) {
 	s.mu.Unlock()
 }
 
-// run is the session's state machine: connect → up (forward reports)
-// → backoff → connect …, until the context ends or the attempt budget
-// runs out.
+// run is the session's state machine: connect → up (supervise the
+// link while its decode goroutine delivers) → backoff → connect …,
+// until the context ends or the attempt budget runs out.
 func (s *Session) run(ctx context.Context) {
 	defer s.wg.Done()
-	defer close(s.reports)
+	defer func() {
+		if s.reports != nil {
+			close(s.reports)
+		}
+	}()
 	defer s.setState(SessionClosed)
 
 	jitterSeed := s.cfg.backoffSeed
@@ -351,7 +354,7 @@ func (s *Session) run(ctx context.Context) {
 			return
 		}
 		s.setState(SessionConnecting)
-		client, err := s.connect(ctx)
+		client, stop, err := s.connect(ctx)
 		if err != nil {
 			attempts++
 			s.noteErr(err)
@@ -384,24 +387,15 @@ func (s *Session) run(ctx context.Context) {
 			s.cfg.Logf("llrp: session up to %s", s.cfg.Addr)
 		}
 
-		s.forward(ctx, client)
+		s.supervise(ctx, client)
 
 		s.mu.Lock()
 		s.client = nil
 		s.mu.Unlock()
-		// forward returns because the client's channel closed (link
-		// death — nothing left in it) or because ctx ended; in the
-		// latter case the read loop may be blocked sending into a full
-		// report buffer, which would wedge Close. Drain while closing.
-		var drainWG sync.WaitGroup
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for range client.Reports() {
-			}
-		}()
+		// The decode goroutine may be parked in a ReportsBlock send to a
+		// stalled consumer; end its delivery before Close waits for it.
+		stop()
 		client.Close()
-		drainWG.Wait()
 		if ctx.Err() != nil {
 			return
 		}
@@ -421,20 +415,27 @@ func (s *Session) run(ctx context.Context) {
 
 // connect performs one full attempt: dial + handshake, then reader
 // configuration and the ROSpec lifecycle, all bounded by DialTimeout.
-func (s *Session) connect(ctx context.Context) (*Client, error) {
+// The client's decode goroutine delivers reports from the first frame
+// on; stop ends that delivery (a send parked on a full channel
+// returns) and must run before the client is closed.
+func (s *Session) connect(ctx context.Context) (*Client, context.CancelFunc, error) {
+	lctx, stop := context.WithCancel(ctx)
 	actx, cancel := context.WithTimeout(ctx, s.cfg.DialTimeout)
 	defer cancel()
-	client, err := s.cfg.dial(actx, s.cfg.Addr, s.cfg.ClientMetrics, s.cfg.Tracer)
+	client, err := dialClient(actx, s.cfg.Addr, s.cfg.ClientMetrics, s.cfg.Tracer,
+		func(r reader.TagReport) bool { return s.deliver(lctx, r) })
 	if err != nil {
+		stop()
 		s.cfg.Metrics.ConnectFailures.With("dial").Inc()
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.provision(client); err != nil {
+		stop()
 		s.cfg.Metrics.ConnectFailures.With("provision").Inc()
 		client.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return client, nil
+	return client, stop, nil
 }
 
 // provision re-applies reader configuration and the full ROSpec
@@ -456,104 +457,90 @@ func (s *Session) provision(c *Client) error {
 	return nil
 }
 
-// forward pumps one connection's reports onto the stable channel until
-// the connection dies or ctx ends, with the watchdog (if configured)
-// declaring a silent link dead by closing the client under it.
-func (s *Session) forward(ctx context.Context, client *Client) {
-	var watchWG sync.WaitGroup
-	watchDone := make(chan struct{})
+// supervise waits out one live connection: it returns when the link
+// dies, ctx ends, or the watchdog (if configured) finds the link silent
+// past its deadline. Polling at a quarter of the deadline bounds
+// detection latency to 1.25× Watchdog.
+func (s *Session) supervise(ctx context.Context, client *Client) {
+	var poll <-chan time.Time
 	if s.cfg.Watchdog > 0 {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			s.watchdog(ctx, client, watchDone)
-		}()
+		period := s.cfg.Watchdog / 4
+		if period < time.Millisecond {
+			period = time.Millisecond
+		}
+		t := time.NewTicker(period)
+		defer t.Stop()
+		poll = t.C
 	}
-	defer watchWG.Wait()
-	defer close(watchDone)
-
 	for {
 		select {
-		case r, ok := <-client.Reports():
-			if !ok {
-				return
-			}
-			r.ReaderID = s.cfg.ReaderID
-			if !s.send(ctx, r) {
-				return
-			}
+		case <-client.done:
+			return
 		case <-ctx.Done():
 			return
+		case <-poll:
+			if silent := time.Since(client.LastActivity()); silent > s.cfg.Watchdog {
+				s.cfg.Metrics.WatchdogTrips.Inc()
+				s.cfg.Logf("llrp: session watchdog: link silent for %v (deadline %v)", silent.Round(time.Millisecond), s.cfg.Watchdog)
+				return
+			}
 		}
 	}
 }
 
-// send places one report on the stable channel under the configured
-// overload policy; false means ctx ended first.
-func (s *Session) send(ctx context.Context, r reader.TagReport) bool {
-	for {
+// deliver hands one decoded report on: stamped with the reader's name,
+// to the Deliver hook when one is set, else onto the stable channel
+// under the overload policy. It runs on the connection's decode
+// goroutine; false means ctx (the connection's delivery context) ended
+// while the report waited for room.
+//
+//tagbreathe:hotpath runs once per tag read on the connection's decode goroutine
+func (s *Session) deliver(ctx context.Context, r reader.TagReport) bool {
+	r.ReaderID = s.cfg.ReaderID
+	if s.cfg.Deliver != nil {
+		s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
+		s.cfg.Deliver(r)
+		return true
+	}
+	select {
+	case s.reports <- r:
+	default:
+		if !s.sendFull(ctx, r) {
+			return false
+		}
+	}
+	s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
+	depth := float64(len(s.reports))
+	s.cfg.Metrics.ReportsBuffer.Set(depth)
+	s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
+	return true
+}
+
+// sendFull is deliver's slow path, taken only when the stable channel
+// was full: wait for room (ReportsBlock) until ctx ends, or evict the
+// oldest buffered report (ReportsDropOldest). Each drop-oldest round
+// either sends or evicts, so progress is bounded even against a racing
+// consumer.
+func (s *Session) sendFull(ctx context.Context, r reader.TagReport) bool {
+	if s.cfg.Overload == ReportsBlock {
 		select {
 		case s.reports <- r:
-			s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
-			depth := float64(len(s.reports))
-			s.cfg.Metrics.ReportsBuffer.Set(depth)
-			s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
 			return true
 		case <-ctx.Done():
 			return false
+		}
+	}
+	for {
+		select {
+		case s.reports <- r:
+			return true
 		default:
 		}
-		if s.cfg.Overload == ReportsBlock {
-			// Lossless: wait for the consumer (or the end of the session).
-			select {
-			case s.reports <- r:
-				s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
-				depth := float64(len(s.reports))
-				s.cfg.Metrics.ReportsBuffer.Set(depth)
-				s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		// Drop-oldest: evict one buffered report to make room, then
-		// retry the send. Each iteration either sends or evicts, so
-		// progress is bounded even against a racing consumer.
 		select {
 		case old := <-s.reports:
 			s.cfg.Tracer.Abort(old.TraceID)
 			s.cfg.Metrics.ReportsShed.Inc()
-			if s.cfg.OnShed != nil {
-				s.cfg.OnShed(old)
-			}
 		default:
-		}
-	}
-}
-
-// watchdog polls the client's inbound-activity clock and force-closes
-// a link that has gone silent past the deadline. Polling at a quarter
-// of the deadline bounds detection latency to 1.25× Watchdog.
-func (s *Session) watchdog(ctx context.Context, client *Client, done <-chan struct{}) {
-	period := s.cfg.Watchdog / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if silent := time.Since(client.LastActivity()); silent > s.cfg.Watchdog {
-				s.cfg.Metrics.WatchdogTrips.Inc()
-				s.cfg.Logf("llrp: session watchdog: link silent for %v (deadline %v)", silent.Round(time.Millisecond), s.cfg.Watchdog)
-				client.Close()
-				return
-			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package llrp
 import (
 	"context"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,6 +182,74 @@ func TestSessionWatchdogTripsOnStall(t *testing.T) {
 	waitFor("watchdog trip", func() bool { return cfg.Metrics.WatchdogTrips.Value() >= 1 })
 	waitFor("reconnect", func() bool { return s.Reconnects() >= 1 })
 	recvReports(t, s, 10) // stream is flowing again on the same channel
+}
+
+// sessionGoroutines counts live goroutines running a session's state
+// machine or a client's decode loop.
+func sessionGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "llrp.(*Session).run") || strings.Contains(g, "llrp.(*Client).readLoop") {
+			count++
+		}
+	}
+	return count
+}
+
+// TestSessionStalledConsumerUnwinds: under ReportsBlock a consumer that
+// never reads parks the connection's decode goroutine on the full
+// stable channel. The watchdog (the parked link reads nothing, so it
+// goes silent) and Close must each unwind that send, and Close must
+// leave no session goroutine behind.
+func TestSessionStalledConsumerUnwinds(t *testing.T) {
+	addr := startServer(t, ServerConfig{NewSource: func() ReportSource { return testSource(1 << 20) }})
+	cfg := fastSessionConfig(addr)
+	cfg.ReportBuffer = 8
+	cfg.Watchdog = 100 * time.Millisecond
+	cfg.Metrics = NewSessionMetrics(nil)
+	s, err := StartSession(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A reconnect after a trip means the tripped link's parked send
+	// returned: the session closes the old client before it redials.
+	deadline := time.Now().Add(10 * time.Second)
+	for cfg.Metrics.WatchdogTrips.Value() < 1 || s.Reconnects() < 1 {
+		if time.Now().After(deadline) {
+			s.Close()
+			t.Fatalf("stalled link never tripped and reconnected (trips %d, reconnects %d, state %v)",
+				cfg.Metrics.WatchdogTrips.Value(), s.Reconnects(), s.State())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := len(s.Reports()); n != cfg.ReportBuffer {
+		t.Fatalf("stable channel holds %d reports, want it full (%d)", n, cfg.ReportBuffer)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		s.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close wedged on a decode goroutine parked in a ReportsBlock send")
+	}
+	if n := sessionGoroutines(); n != 0 {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d session goroutines outlived Close\n%s", n, buf[:runtime.Stack(buf, true)])
+	}
+	got := 0
+	for range s.Reports() {
+		got++
+	}
+	if got != cfg.ReportBuffer {
+		t.Fatalf("drained %d buffered reports after Close, want %d", got, cfg.ReportBuffer)
+	}
 }
 
 func TestSessionMaxAttemptsEndsSession(t *testing.T) {

@@ -3,7 +3,7 @@
 // a capacity model (BENCH_capacity.json).
 //
 // One Point drives K synthesized users (internal/sim.Synth — 16 bytes
-// of generator state per user) through the monitor's demux → worker
+// of generator state per user) through the monitor's router → worker
 // pool → collector path in-process and records what production
 // capacity planning needs: steady-state CPU, live heap bytes per user,
 // per-user tick-latency quantiles from the shard-tick histogram, and

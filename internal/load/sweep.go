@@ -76,7 +76,7 @@ func Sweep(counts []int, base Options, probePace float64, progress func(string))
 	model := &Model{
 		Benchmark: "capacity_sweep",
 		Description: "Closed-loop capacity model: synthetic users through the monitor " +
-			"demux/worker-pool/collector in-process. Block points measure sustained " +
+			"router/worker-pool/collector in-process. Block points measure sustained " +
 			"capacity (backpressured, unpaced, lossless); probe points offer the same " +
 			"stream paced at real time under OverloadDropNewest, so drop onset marks " +
 			"the user count where real-time load no longer fits. Probes arm the " +

@@ -19,12 +19,14 @@ type Stage int
 const (
 	// StageRead: the report was decoded from an LLRP frame on the host.
 	StageRead Stage = iota
-	// StageForward: the session pumped it onto the stable Reports
-	// channel (queue wait before this is the client buffer's).
+	// StageForward: the session put it on the stable Reports channel
+	// (or handed it to the fleet merge), on the decode goroutine that
+	// stamped StageRead.
 	StageForward
-	// StageIngest: the monitor admitted it into the demux queue.
+	// StageIngest: the consumer handed it to Monitor.Ingest.
 	StageIngest
-	// StageDemux: the demux routed it onto a shard worker's queue.
+	// StageDemux: the monitor's router put it on a shard worker's
+	// queue, on the goroutine that called Ingest.
 	StageDemux
 	// StageWorker: the owning shard worker dequeued it.
 	StageWorker
@@ -208,7 +210,7 @@ func (t *Tracer) Stamp(id uint64, stage Stage) {
 	s.mu.Unlock()
 }
 
-// SetUser attaches the demuxed user ID to a trace for the exemplar
+// SetUser attaches the routed user ID to a trace for the exemplar
 // view.
 //
 //tagbreathe:allow hotpath slot lock runs only on sampled traces; id 0 returns first

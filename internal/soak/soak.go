@@ -154,7 +154,7 @@ type Result struct {
 	// DegradedAtEnd is DegradedWorkers at the end of the calm tail.
 	DegradedAtEnd int
 	// MonitorShed and FleetShed are the per-class shed totals at the
-	// demux and the fleet merge respectively.
+	// monitor's router and the fleet merge respectively.
 	MonitorShed map[string]uint64
 	FleetShed   map[string]uint64
 	// Conns and Reconnects total across all proxies/readers.

@@ -342,7 +342,7 @@ type (
 
 // Pipeline tracing. A Tracer samples reports at a configurable stride
 // and stamps each sampled one at every pipeline stage it passes — LLRP
-// frame decode, session forward, monitor ingest, demux, worker dequeue,
+// frame decode, session forward, monitor ingest, routing, worker dequeue,
 // engine feed, update emit — feeding per-stage latency histograms, an
 // end-to-end report→update histogram, and an exemplar ring served at
 // the debug server's /debug/traces. Thread one tracer through
