@@ -382,11 +382,12 @@ func streamFleet(targets []string, listenFor time.Duration, o runOptions) ([]tag
 		for _, c := range cfgs {
 			o.dbg.AddHealthCheck("reader_"+c.Name, f.ReaderHealth(c.Name))
 		}
+		// A debug server implies a metrics registry, so mon is live.
 		o.dbg.HandleJSON("/debug/fleet", func() any {
 			return struct {
 				Readers     []tagbreathe.FleetReaderStatus `json:"readers"`
-				Degradation *degradation                   `json:"degradation,omitempty"`
-			}{f.Status(), degradationOf(mon)}
+				Degradation tagbreathe.MonitorStats        `json:"degradation"`
+			}{f.Status(), mon.Stats()}
 		})
 	}
 	fmt.Printf("streaming from a fleet of %d readers for %v (auto-reconnect: backoff %v..%v, watchdog %v)\n",
@@ -470,42 +471,22 @@ func newLiveMonitor(o runOptions) *tagbreathe.Monitor {
 	return mon
 }
 
-// degradation is the monitor-side ladder state served on /debug/fleet
-// and behind the end-of-run summary.
-type degradation struct {
-	DegradedWorkers int               `json:"degraded_workers"`
-	PeakTickStretch int               `json:"peak_tick_stretch"`
-	SkippedTicks    uint64            `json:"skipped_ticks"`
-	DroppedReports  uint64            `json:"dropped_reports"`
-	ShedByClass     map[string]uint64 `json:"shed_by_class"`
-}
-
-func degradationOf(mon *tagbreathe.Monitor) *degradation {
-	if mon == nil {
-		return nil
-	}
-	return &degradation{
-		DegradedWorkers: mon.DegradedWorkers(),
-		PeakTickStretch: mon.PeakTickStretch(),
-		SkippedTicks:    mon.SkippedTicks(),
-		DroppedReports:  mon.DroppedReports(),
-		ShedByClass:     mon.ShedByClass(),
-	}
-}
-
 // printDegradation reports how hard the graceful-degradation ladder
 // worked during a live run; silent when it never engaged and nothing
 // was shed.
 func printDegradation(mon *tagbreathe.Monitor) {
-	d := degradationOf(mon)
-	if d == nil || (d.PeakTickStretch <= 1 && d.DroppedReports == 0) {
+	if mon == nil {
+		return
+	}
+	d := mon.Stats()
+	if d.PeakStretch <= 1 && d.Dropped == 0 {
 		return
 	}
 	line := fmt.Sprintf("degradation: peak tick stretch %d×, %d tick deliveries skipped",
-		d.PeakTickStretch, d.SkippedTicks)
-	if d.DroppedReports > 0 {
+		d.PeakStretch, d.SkippedTicks)
+	if d.Dropped > 0 {
 		line += fmt.Sprintf(", shed %d reports (primary %d, redundant %d, unknown %d)",
-			d.DroppedReports, d.ShedByClass["primary"], d.ShedByClass["redundant"],
+			d.Dropped, d.ShedByClass["primary"], d.ShedByClass["redundant"],
 			d.ShedByClass["unknown"])
 	}
 	fmt.Println(line)

@@ -179,12 +179,13 @@ func TestChaosSessionMonitorRecovery(t *testing.T) {
 		}
 		mon.CloseInput()
 	}()
-	// Drain the update stream (LastUpdates is the read-side window the
-	// assertions use) and verify global stream-time ordering holds
+	// Drain the update stream, keeping each user's latest update for
+	// the assertions, and verify global stream-time ordering holds
 	// across reconnects.
 	var updMu sync.Mutex
 	var updates int
 	var orderViolation bool
+	last := make(map[uint64]core.RateUpdate)
 	pumps.Add(1)
 	go func() {
 		defer pumps.Done()
@@ -192,6 +193,7 @@ func TestChaosSessionMonitorRecovery(t *testing.T) {
 		for u := range mon.Updates() {
 			updMu.Lock()
 			updates++
+			last[u.UserID] = u
 			if u.Time < lastTime {
 				orderViolation = true
 			}
@@ -215,7 +217,9 @@ func TestChaosSessionMonitorRecovery(t *testing.T) {
 		}
 	}
 	lastUpdate := func() (core.RateUpdate, bool) {
-		u, ok := mon.LastUpdates()[uid]
+		updMu.Lock()
+		defer updMu.Unlock()
+		u, ok := last[uid]
 		return u, ok
 	}
 

@@ -117,12 +117,14 @@ func TestChaosFleetOneOfTwoReadersDies(t *testing.T) {
 	badRate := 0   // post-warmup updates outside the physiological band
 	badReader := 0 // updates not attributed to a fleet reader
 	warm := false
+	last := make(map[uint64]core.RateUpdate) // each user's latest update
 	pumps.Add(1)
 	go func() {
 		defer pumps.Done()
 		for u := range mon.Updates() {
 			updMu.Lock()
 			updates++
+			last[u.UserID] = u
 			// Transition windows (fault onset, vantage switch) may wobble
 			// before the selection settles on the surviving reader, so the
 			// continuous bound is the plausible breathing band; the ±2.5
@@ -160,7 +162,9 @@ func TestChaosFleetOneOfTwoReadersDies(t *testing.T) {
 		}
 	}
 	lastUpdate := func() (core.RateUpdate, bool) {
-		u, ok := mon.LastUpdates()[uid]
+		updMu.Lock()
+		defer updMu.Unlock()
+		u, ok := last[uid]
 		return u, ok
 	}
 

@@ -16,7 +16,7 @@ import (
 
 // TestChaosStalenessVisibility pins the estimate-freshness SLO to fault
 // behaviour: during every injected transport outage the staleness
-// signal (Monitor.StaleUsers / FreshnessCheck / the stale-users gauge)
+// signal (MonitorStats.StaleUsers / FreshnessCheck / the stale-users gauge)
 // must fire — the monitor is stream-time driven and emits nothing while
 // the link is down, so only a wall-clock freshness check can tell an
 // operator the estimates on the dashboard are stale — and after the
@@ -96,12 +96,24 @@ func TestChaosStalenessVisibility(t *testing.T) {
 		}
 		mon.CloseInput()
 	}()
+	// Keep each user's latest update for the assertions.
+	var updMu sync.Mutex
+	last := make(map[uint64]core.RateUpdate)
 	pumps.Add(1)
 	go func() {
 		defer pumps.Done()
-		for range mon.Updates() {
+		for u := range mon.Updates() {
+			updMu.Lock()
+			last[u.UserID] = u
+			updMu.Unlock()
 		}
 	}()
+	lastUpdate := func() (core.RateUpdate, bool) {
+		updMu.Lock()
+		defer updMu.Unlock()
+		u, ok := last[uid]
+		return u, ok
+	}
 	defer func() {
 		sess.Close()
 		pumps.Wait()
@@ -126,7 +138,7 @@ func TestChaosStalenessVisibility(t *testing.T) {
 
 	// Healthy baseline: an update exists and the check passes.
 	waitFor("first update", 30*time.Second, func() bool {
-		_, ok := mon.LastUpdates()[uid]
+		_, ok := lastUpdate()
 		return ok
 	})
 	waitFor("fresh baseline", 10*time.Second, func() bool { return check() == nil })
@@ -139,7 +151,7 @@ func TestChaosStalenessVisibility(t *testing.T) {
 		// The SLO must fire during the outage, visibly on every surface:
 		// the health check errors, the gauge counts the stale user, and
 		// the oldest-age gauge exceeds the SLO. All three are refreshed
-		// by the same StaleUsers pass, so sample them in one poll.
+		// by the same staleness pass, so sample them in one poll.
 		waitFor(fmt.Sprintf("staleness SLO firing (cycle %d)", cycle), 15*time.Second, func() bool {
 			return check() != nil &&
 				mm.StaleUsers.Value() >= 1 &&
@@ -152,7 +164,7 @@ func TestChaosStalenessVisibility(t *testing.T) {
 			return sess.Reconnects() >= uint64(cycle)
 		})
 		waitFor("staleness clearing", 20*time.Second, func() bool {
-			u, ok := mon.LastUpdates()[uid]
+			u, ok := lastUpdate()
 			return ok && u.Time >= faultStream && check() == nil && mm.StaleUsers.Value() == 0
 		})
 	}

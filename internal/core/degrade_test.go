@@ -267,16 +267,17 @@ func TestOverloadBaselineShedsPrimary(t *testing.T) {
 	if n := len(get()); n == 0 {
 		t.Fatal("no updates emitted")
 	}
-	shed := m.ShedByClass()
-	if m.DroppedReports() == 0 {
+	st := m.Stats()
+	shed := st.ShedByClass
+	if st.Dropped == 0 {
 		t.Fatal("baseline overload did not shed at all; the scenario no longer exercises the drop path")
 	}
 	if shed["primary"] == 0 {
 		t.Fatalf("baseline shed %v: expected primary-vantage drops without the ladder", shed)
 	}
-	if m.PeakTickStretch() != 1 || m.SkippedTicks() != 0 {
+	if st.PeakStretch != 1 || st.SkippedTicks != 0 {
 		t.Fatalf("controller engaged while disabled: peak=%d skipped=%d",
-			m.PeakTickStretch(), m.SkippedTicks())
+			st.PeakStretch, st.SkippedTicks)
 	}
 }
 
@@ -297,7 +298,8 @@ func TestOverloadControllerStretchesInsteadOfShedding(t *testing.T) {
 	<-done
 	m.wg.Wait()
 
-	shed := m.ShedByClass()
+	st := m.Stats()
+	shed := st.ShedByClass
 	if shed["primary"] != 0 {
 		t.Fatalf("shed %d primary-vantage reports (by class: %v); the ladder must protect primary data",
 			shed["primary"], shed)
@@ -309,10 +311,10 @@ func TestOverloadControllerStretchesInsteadOfShedding(t *testing.T) {
 	if shed["redundant"] == 0 {
 		t.Fatal("no redundant-vantage reports shed; quality-aware shedding never engaged")
 	}
-	if m.PeakTickStretch() < 2 {
-		t.Fatalf("peak stretch = %d; the overload must engage the ladder", m.PeakTickStretch())
+	if st.PeakStretch < 2 {
+		t.Fatalf("peak stretch = %d; the overload must engage the ladder", st.PeakStretch)
 	}
-	if m.SkippedTicks() == 0 {
+	if st.SkippedTicks == 0 {
 		t.Fatal("no tick deliveries skipped despite a stretched cadence")
 	}
 	ups := get()
@@ -435,8 +437,9 @@ func TestDegradeHysteresisFullyClears(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no updates emitted")
 	}
-	if m.PeakTickStretch() < 2 {
-		t.Fatalf("peak stretch = %d; the heavy phase must engage the ladder", m.PeakTickStretch())
+	st := m.Stats()
+	if st.PeakStretch < 2 {
+		t.Fatalf("peak stretch = %d; the heavy phase must engage the ladder", st.PeakStretch)
 	}
 	last := ups[len(ups)-1]
 	if last.TickStretch != 1 || last.Degraded {
@@ -451,7 +454,7 @@ func TestDegradeHysteresisFullyClears(t *testing.T) {
 			t.Errorf("update at %v still stretched %d× in the recovered tail", u.Time, u.TickStretch)
 		}
 	}
-	if n := m.DegradedWorkers(); n != 0 {
+	if n := st.DegradedWorkers; n != 0 {
 		t.Errorf("degraded-workers gauge = %d after recovery, want 0", n)
 	}
 	if m.metrics.DegradedWorkers.Value() != 0 {

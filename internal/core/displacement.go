@@ -207,18 +207,15 @@ type Config struct {
 	// auto-discover: every distinct EPC high-64 seen is treated as a
 	// user (suitable when all tags in the field are monitoring tags).
 	Users []uint64
-	// UseFIRFilter selects the FIR low-pass (§IV-B mentions it as an
-	// alternative) instead of the FFT filter; used by the ablation
-	// benchmarks.
-	UseFIRFilter bool
-	// Filter selects the stage engine's band-pass implementation:
-	// FilterDefault resolves via UseFIRFilter; FilterFFT and
-	// FilterFIRBatch recompute the window each tick (the reference
-	// semantics); FilterFIRStreaming runs the causal streaming chain,
-	// making Monitor ticks O(new samples + taps) independent of window
-	// length at the price of the filter's group delay. Consumed by
-	// Estimate and Monitor; ExtractBreath keeps its UseFIRFilter
-	// switch.
+	// Filter selects the band-pass filter, the one switch Estimate,
+	// Monitor and ExtractBreath all read. FilterFFT (the zero value)
+	// is the paper's reference FFT band-pass (§IV-B); FilterFIRBatch
+	// is the FIR alternative §IV-B mentions. Both recompute the
+	// window each tick. FilterFIRStreaming runs the causal streaming
+	// chain, making Monitor ticks O(new samples + taps) independent
+	// of window length at the price of the filter's group delay; it
+	// runs as FilterFIRBatch under MotionRejection, and ExtractBreath,
+	// which has no streaming form, runs FFT for it.
 	Filter FilterMode
 	// MotionRejection blanks fused bins whose magnitude marks
 	// non-respiratory body motion (postural shifts move the torso by

@@ -37,12 +37,10 @@ import (
 type FilterMode int
 
 const (
-	// FilterDefault resolves via Config.UseFIRFilter: the FFT reference
-	// filter, or the batch FIR when UseFIRFilter is set.
-	FilterDefault FilterMode = iota
-	// FilterFFT recomputes the whole-window FFT band-pass each
-	// tick/flush — the paper's reference extraction (§IV-B).
-	FilterFFT
+	// FilterFFT (the zero value) recomputes the whole-window FFT
+	// band-pass each tick/flush — the paper's reference extraction
+	// (§IV-B).
+	FilterFFT FilterMode = iota
 	// FilterFIRBatch recomputes the whole-window FIR band-pass
 	// (windowed-sinc low-pass + moving-average drift removal).
 	FilterFIRBatch
@@ -52,27 +50,6 @@ const (
 	// rate updates describe breaths that happened one group delay ago.
 	FilterFIRStreaming
 )
-
-// filterMode resolves the configured mode against legacy knobs.
-// FilterFIRStreaming degrades to FilterFIRBatch under MotionRejection,
-// which needs the whole window's bin population to threshold against.
-func (c *Config) filterMode() FilterMode {
-	switch c.Filter {
-	case FilterFFT:
-		return FilterFFT
-	case FilterFIRBatch:
-		return FilterFIRBatch
-	case FilterFIRStreaming:
-		if c.MotionRejection {
-			return FilterFIRBatch
-		}
-		return FilterFIRStreaming
-	}
-	if c.UseFIRFilter {
-		return FilterFIRBatch
-	}
-	return FilterFFT
-}
 
 // BinFuser is the incremental form of FuseBins/FuseBinsLiteral: it
 // maintains the Eq. 6 bin grid (anchored at origin, binSec wide) as a
@@ -433,8 +410,8 @@ type antennaState struct {
 // for concurrent use; the Monitor gives each user's shard goroutine
 // its own engine, and the batch path builds one per shard.
 type Engine struct {
-	cfg  Config
-	mode FilterMode
+	// cfg.Filter is the resolved band-pass (see NewEngine).
+	cfg Config
 
 	binSec     float64
 	windowSec  float64
@@ -455,7 +432,7 @@ type Engine struct {
 	originSet bool
 	started   bool
 
-	// Streaming chain geometry, set when the first chain is built.
+	// Streaming chain geometry (FilterFIRStreaming only).
 	delay, warm int
 
 	// window holds recomputeUpdate's copy of the window's bins (see
@@ -463,16 +440,29 @@ type Engine struct {
 	window *[]float64
 }
 
-// NewEngine builds a stage engine for one user.
+// NewEngine builds a stage engine for one user. It resolves
+// cfg.Filter: FilterFIRStreaming degrades to FilterFIRBatch under
+// MotionRejection, which needs the whole window's bin population to
+// threshold against, and to FilterFFT when the streaming designer
+// rejects the band (a degenerate config).
 func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	cfg.fillDefaults()
 	if opts.Window <= 0 {
 		opts.Window = 25
 	}
 	binSec := cfg.BinInterval.Seconds()
+	var delay, warm int
+	if cfg.Filter == FilterFIRStreaming {
+		if cfg.MotionRejection {
+			cfg.Filter = FilterFIRBatch
+		} else if bp, err := sigproc.NewStreamBandPass(1/binSec, cfg.LowCutHz, cfg.HighCutHz); err != nil {
+			cfg.Filter = FilterFFT
+		} else {
+			delay, warm = bp.Delay(), bp.Warmup()
+		}
+	}
 	e := &Engine{
 		cfg:       cfg,
-		mode:      cfg.filterMode(),
 		binSec:    binSec,
 		windowSec: opts.Window,
 		strideSec: opts.TickStride,
@@ -484,6 +474,8 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		ants:      make(map[vantage]*antennaState),
 		origin:    opts.Origin,
 		originSet: opts.OriginSet,
+		delay:     delay,
+		warm:      warm,
 		window:    opts.window,
 	}
 	if e.window == nil {
@@ -505,20 +497,12 @@ func (e *Engine) ant(v vantage) *antennaState {
 		fuser: NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, e.windowBins+16),
 		tags:  make(map[uint32]struct{}),
 	}
-	if e.mode == FilterFIRStreaming {
-		bp, err := sigproc.NewStreamBandPass(1/e.binSec, e.cfg.LowCutHz, e.cfg.HighCutHz)
-		if err != nil {
-			// A band the streaming designer rejects (degenerate config)
-			// falls back to the reference filter for the whole engine.
-			e.mode = FilterFFT
-		} else {
-			a.bp = bp
-			a.tracker = sigproc.NewCrossingTracker(e.cfg.MinCrossingGap)
-			e.delay = bp.Delay()
-			e.warm = bp.Warmup()
-			if e.apneaSec > 0 {
-				a.pause = NewPauseTracker(1/e.binSec, e.origin, e.apneaSec, e.windowBins)
-			}
+	if e.cfg.Filter == FilterFIRStreaming {
+		// NewEngine already designed this band, so the error is nil.
+		a.bp, _ = sigproc.NewStreamBandPass(1/e.binSec, e.cfg.LowCutHz, e.cfg.HighCutHz)
+		a.tracker = sigproc.NewCrossingTracker(e.cfg.MinCrossingGap)
+		if e.apneaSec > 0 {
+			a.pause = NewPauseTracker(1/e.binSec, e.origin, e.apneaSec, e.windowBins)
 		}
 	}
 	e.ants[v] = a
@@ -620,7 +604,7 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	for _, a := range e.ants {
 		a.fuser.SettleBefore(asOf)
 	}
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		e.advanceChains(asOf)
 		// Crossings that slid out of the window are gone for good, on
 		// every vantage: a non-selected vantage's buffer is read only
@@ -654,7 +638,7 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	if !ok {
 		return RateUpdate{}, false
 	}
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		return e.streamingUpdate(best, bestV)
 	}
 	//tagbreathe:allow hotpath legacy O(window) recompute modes allocate by design; FIRStreaming is the enforced real-time mode
@@ -764,10 +748,8 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 	if nz < 4 {
 		return RateUpdate{}, false
 	}
-	cfgX := e.cfg
-	cfgX.UseFIRFilter = e.mode == FilterFIRBatch
 	sigT0 := e.origin + float64(iLo)*e.binSec
-	sig, err := ExtractBreath(bins, e.binSec, sigT0, cfgX)
+	sig, err := ExtractBreath(bins, e.binSec, sigT0, e.cfg)
 	if err != nil {
 		return RateUpdate{}, false
 	}
@@ -837,14 +819,14 @@ func (e *Engine) EvictBefore(cutoff float64) {
 	}
 	for _, a := range e.ants {
 		c := cutoff
-		if e.mode == FilterFIRStreaming {
+		if e.cfg.Filter == FilterFIRStreaming {
 			// Never evict a bin the chain hasn't consumed.
 			if t := e.origin + float64(a.next)*e.binSec; t < c {
 				c = t
 			}
 		}
 		a.fuser.EvictBefore(c)
-		if e.mode == FilterFIRStreaming && a.bp != nil && a.next >= e.warm {
+		if e.cfg.Filter == FilterFIRStreaming && a.bp != nil && a.next >= e.warm {
 			a.bp.Rebase(a.acc)
 			a.acc = 0
 		}
@@ -886,7 +868,7 @@ func (e *Engine) Lag(asOf float64) EngineLag {
 				lag.HeldAge = age
 			}
 		}
-		if e.mode != FilterFIRStreaming {
+		if e.cfg.Filter != FilterFIRStreaming {
 			continue
 		}
 		if p := a.fuser.Hi() - a.next; p > 0 {
@@ -924,12 +906,10 @@ func (e *Engine) FlushEstimate(t0, t1 float64) *UserEstimate {
 	}
 	bins := best.fuser.Flush(t0, t1)
 	var sig *BreathSignal
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		sig = e.streamingSignal(best, bins, t0)
 	} else {
-		cfgX := e.cfg
-		cfgX.UseFIRFilter = e.mode == FilterFIRBatch
-		s, err := ExtractBreath(bins, e.binSec, t0, cfgX)
+		s, err := ExtractBreath(bins, e.binSec, t0, e.cfg)
 		if err != nil {
 			return nil
 		}

@@ -226,8 +226,8 @@ func TestEstimateMatchesLegacyPipeline(t *testing.T) {
 	})
 	t0 := res.Reports[0].Timestamp.Seconds()
 	t1 := res.Reports[len(res.Reports)-1].Timestamp.Seconds()
-	for _, useFIR := range []bool{false, true} {
-		cfg := core.Config{Users: res.UserIDs, Workers: 1, UseFIRFilter: useFIR}
+	for _, mode := range []core.FilterMode{core.FilterFFT, core.FilterFIRBatch} {
+		cfg := core.Config{Users: res.UserIDs, Workers: 1, Filter: mode}
 		ests, err := core.Estimate(res.Reports, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -236,32 +236,32 @@ func TestEstimateMatchesLegacyPipeline(t *testing.T) {
 			want := legacyEstimate(res.Reports, uid, t0, t1, cfg)
 			got := ests[uid]
 			if (got == nil) != (want == nil) {
-				t.Fatalf("useFIR=%v user %x: engine nil=%v, legacy nil=%v",
-					useFIR, uid, got == nil, want == nil)
+				t.Fatalf("mode=%v user %x: engine nil=%v, legacy nil=%v",
+					mode, uid, got == nil, want == nil)
 			}
 			if got == nil {
 				continue
 			}
 			if got.AntennaPort != want.AntennaPort || got.Reads != want.Reads ||
 				got.TagsSeen != want.TagsSeen {
-				t.Errorf("useFIR=%v user %x: engine %+v, legacy %+v", useFIR, uid, got, want)
+				t.Errorf("mode=%v user %x: engine %+v, legacy %+v", mode, uid, got, want)
 			}
 			if math.Abs(got.RateBPM-want.RateBPM) > 1e-12 {
-				t.Errorf("useFIR=%v user %x: rate %.15f, legacy %.15f",
-					useFIR, uid, got.RateBPM, want.RateBPM)
+				t.Errorf("mode=%v user %x: rate %.15f, legacy %.15f",
+					mode, uid, got.RateBPM, want.RateBPM)
 			}
 			if len(got.Signal.Crossings) != len(want.Signal.Crossings) {
-				t.Errorf("useFIR=%v user %x: %d crossings, legacy %d",
-					useFIR, uid, len(got.Signal.Crossings), len(want.Signal.Crossings))
+				t.Errorf("mode=%v user %x: %d crossings, legacy %d",
+					mode, uid, len(got.Signal.Crossings), len(want.Signal.Crossings))
 			}
 			if len(got.Signal.Samples) != len(want.Signal.Samples) {
-				t.Fatalf("useFIR=%v user %x: %d samples, legacy %d",
-					useFIR, uid, len(got.Signal.Samples), len(want.Signal.Samples))
+				t.Fatalf("mode=%v user %x: %d samples, legacy %d",
+					mode, uid, len(got.Signal.Samples), len(want.Signal.Samples))
 			}
 			for i := range got.Signal.Samples {
 				if math.Abs(got.Signal.Samples[i]-want.Signal.Samples[i]) > 1e-12 {
-					t.Fatalf("useFIR=%v user %x sample %d: %.15g, legacy %.15g",
-						useFIR, uid, i, got.Signal.Samples[i], want.Signal.Samples[i])
+					t.Fatalf("mode=%v user %x sample %d: %.15g, legacy %.15g",
+						mode, uid, i, got.Signal.Samples[i], want.Signal.Samples[i])
 				}
 			}
 		}
@@ -270,6 +270,74 @@ func TestEstimateMatchesLegacyPipeline(t *testing.T) {
 
 // TestMonitorStreamingFilterMode runs the full Monitor in streaming-FIR
 // mode over a long paced scenario: updates arrive and, once the causal
+// TestFilterSelectorOneMeaning pins Config.Filter as the one filter
+// switch: ExtractBreath and Estimate map every value to the same
+// band-pass, and the zero Config is FilterFFT bit for bit.
+func TestFilterSelectorOneMeaning(t *testing.T) {
+	const binSec = 0.0625
+	bins := make([]float64, int(60/binSec))
+	x := func(tt float64) float64 { return 0.005 * math.Sin(2*math.Pi*0.2*tt) }
+	for i := range bins {
+		bins[i] = x(float64(i+1)*binSec) - x(float64(i)*binSec)
+	}
+	extract := func(cfg core.Config) []float64 {
+		t.Helper()
+		sig, err := core.ExtractBreath(bins, binSec, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig.Samples
+	}
+	res := runScenario(t, 93, nil)
+	uid := res.UserIDs[0]
+	estimate := func(cfg core.Config) []float64 {
+		t.Helper()
+		cfg.Users = res.UserIDs
+		ests, err := core.Estimate(res.Reports, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ests[uid] == nil {
+			t.Fatalf("no estimate under %+v", cfg)
+		}
+		return ests[uid].Signal.Samples
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	for _, entry := range []struct {
+		name string
+		run  func(core.Config) []float64
+	}{{"ExtractBreath", extract}, {"Estimate", estimate}} {
+		fft := entry.run(core.Config{Filter: core.FilterFFT})
+		if !same(entry.run(core.Config{}), fft) {
+			t.Errorf("%s: the zero Config is not FilterFFT", entry.name)
+		}
+		if same(entry.run(core.Config{Filter: core.FilterFIRBatch}), fft) {
+			t.Errorf("%s: FilterFIRBatch ran the FFT filter", entry.name)
+		}
+	}
+	// ExtractBreath has no streaming form: it runs FFT for it.
+	if !same(extract(core.Config{Filter: core.FilterFIRStreaming}), extract(core.Config{})) {
+		t.Error("ExtractBreath: FilterFIRStreaming is not the FFT filter")
+	}
+	// MotionRejection needs the whole window, so the engine runs
+	// streaming as batch FIR under it.
+	motion := estimate(core.Config{Filter: core.FilterFIRBatch, MotionRejection: true})
+	if !same(estimate(core.Config{Filter: core.FilterFIRStreaming, MotionRejection: true}), motion) {
+		t.Error("Estimate: FilterFIRStreaming under MotionRejection is not FilterFIRBatch")
+	}
+}
+
 // chain is warm, track the true rate.
 func TestMonitorStreamingFilterMode(t *testing.T) {
 	res := runScenario(t, 93, func(sc *sim.Scenario) {

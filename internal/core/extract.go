@@ -54,8 +54,9 @@ func (b *BreathSignal) IndexAt(t float64) int {
 
 // ExtractBreath runs the §IV-B extraction on a fused bin stream: the
 // bins are accumulated (Eq. 7) into a displacement trajectory, the
-// trajectory is band-pass filtered (FFT filter by default, FIR when
-// configured) to [LowCutHz, HighCutHz], and zero crossings are
+// trajectory is band-pass filtered to [LowCutHz, HighCutHz] — through
+// the FIR filter when cfg.Filter is FilterFIRBatch, the FFT filter
+// otherwise, and zero crossings are
 // detected away from the filter's edge-ringing region.
 func ExtractBreath(bins []float64, binInterval, t0 float64, cfg Config) (*BreathSignal, error) {
 	cfg.fillDefaults()
@@ -77,7 +78,7 @@ func ExtractBreath(bins []float64, binInterval, t0 float64, cfg Config) (*Breath
 		filtered []float64
 		err      error
 	)
-	if cfg.UseFIRFilter {
+	if cfg.Filter == FilterFIRBatch {
 		// FIR path: low-pass at HighCutHz, then remove drift with a
 		// long moving average standing in for the high-pass leg.
 		taps := int(4*rate/cfg.HighCutHz) | 1

@@ -18,10 +18,10 @@ type MonitorMetrics struct {
 	// Ingested counts reports entering the router (pre-filter).
 	Ingested *obs.Counter
 	// Dropped counts reports shed under OverloadDropNewest —
-	// Monitor.DroppedReports reads this counter.
+	// MonitorStats.Dropped reads this counter.
 	Dropped *obs.Counter
 	// Processed counts reports fed into user engines by the shard
-	// workers — Monitor.ProcessedReports reads this counter. With
+	// workers — MonitorStats.Processed reads this counter. With
 	// Dropped it closes the accounting loop: admitted = processed +
 	// dropped after a drain.
 	Processed *obs.Counter

@@ -87,7 +87,7 @@ func TestMonitorMetricsCounts(t *testing.T) {
 }
 
 // TestMonitorMetricsDropCounter pins the satellite contract: the shed
-// counter is the metric, and DroppedReports is a thin reader of it.
+// counter is the metric, and Stats is a thin reader of the counters.
 func TestMonitorMetricsDropCounter(t *testing.T) {
 	res := runScenario(t, 62, func(sc *sim.Scenario) {
 		sc.Users = sim.SideBySide(2, 4, 10, 14)
@@ -114,9 +114,12 @@ func TestMonitorMetricsDropCounter(t *testing.T) {
 	m.CloseInput()
 	<-drained // counters are settled once the update stream closes
 
-	if m.DroppedReports() != mm.Dropped.Value() {
-		t.Errorf("DroppedReports() = %d, counter = %d",
-			m.DroppedReports(), mm.Dropped.Value())
+	st := m.Stats()
+	if st.Dropped != mm.Dropped.Value() {
+		t.Errorf("Stats().Dropped = %d, counter = %d", st.Dropped, mm.Dropped.Value())
+	}
+	if st.Dropped == 0 {
+		t.Fatal("a 1-slot queue under OverloadDropNewest shed nothing; the test no longer exercises the drop path")
 	}
 	if mm.Ingested.Value() != uint64(len(res.Reports)) {
 		t.Errorf("ingested = %d, want %d (drops must not hide ingress)",
@@ -129,9 +132,33 @@ func TestMonitorMetricsDropCounter(t *testing.T) {
 		t.Errorf("processed (%d) + dropped (%d) = %d, want %d admitted reports",
 			mm.Processed.Value(), mm.Dropped.Value(), got, len(res.Reports))
 	}
-	if m.ProcessedReports() != mm.Processed.Value() {
-		t.Errorf("ProcessedReports() = %d, counter = %d",
-			m.ProcessedReports(), mm.Processed.Value())
+	if st.Processed != mm.Processed.Value() {
+		t.Errorf("Stats().Processed = %d, counter = %d", st.Processed, mm.Processed.Value())
+	}
+	if st.Ticks != mm.Ticks.Value() || st.Ticks == 0 {
+		t.Errorf("Stats().Ticks = %d, counter = %d", st.Ticks, mm.Ticks.Value())
+	}
+	if st.SkippedTicks != mm.TicksSkipped.Value() {
+		t.Errorf("Stats().SkippedTicks = %d, counter = %d", st.SkippedTicks, mm.TicksSkipped.Value())
+	}
+	if st.DegradedWorkers != int(mm.DegradedWorkers.Value()) {
+		t.Errorf("Stats().DegradedWorkers = %d, gauge = %v", st.DegradedWorkers, mm.DegradedWorkers.Value())
+	}
+	// The ladder is disabled: the peak gauge never moved, and the
+	// snapshot reports full cadence.
+	if st.PeakStretch != 1 {
+		t.Errorf("Stats().PeakStretch = %d with the ladder disabled, want 1", st.PeakStretch)
+	}
+	var shed uint64
+	for cls, n := range st.ShedByClass {
+		if c := mm.ShedByClass.With(cls).Value(); n != c {
+			t.Errorf("Stats().ShedByClass[%q] = %d, counter = %d", cls, n, c)
+		}
+		shed += n
+	}
+	if len(st.ShedByClass) != 3 || shed != st.Dropped {
+		t.Errorf("ShedByClass %v sums to %d over %d classes, want Dropped = %d over 3",
+			st.ShedByClass, shed, len(st.ShedByClass), st.Dropped)
 	}
 }
 

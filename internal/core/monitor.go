@@ -22,7 +22,7 @@ const (
 	// the producer when one user's analysis falls behind.
 	OverloadBlock OverloadPolicy = iota
 	// OverloadDropNewest sheds load: the incoming report for the full
-	// shard is dropped (and counted — see Monitor.DroppedReports) so
+	// shard is dropped (and counted — see MonitorStats.Dropped) so
 	// ingest never blocks and one slow user cannot stall the others.
 	// Breathing is heavily oversampled relative to the 0.67 Hz band,
 	// so occasional per-user drops degrade SNR, not correctness.
@@ -66,7 +66,7 @@ type MonitorConfig struct {
 	// nears capacity, reports from non-selected (reader, antenna)
 	// vantages are sacrificed first, so redundant oversampling is lost
 	// before the data the estimate is computed from (per-class
-	// accounting in ShedByClass / Monitor.ShedByClass).
+	// accounting in MonitorStats.ShedByClass).
 	Overload OverloadPolicy
 	// Degrade configures the per-worker adaptive tick-rate controller
 	// (DESIGN.md §13): under sustained queue pressure a worker
@@ -79,8 +79,8 @@ type MonitorConfig struct {
 	Degrade DegradeConfig
 	// Metrics receives the monitor's instrumentation (see
 	// NewMonitorMetrics). Nil builds private, unexposed instruments —
-	// the monitor always counts (DroppedReports reads the drop
-	// counter) but exposes nothing.
+	// the monitor always counts (Stats reads the counters) but exposes
+	// nothing.
 	Metrics *MonitorMetrics
 	// Tracer samples end-to-end report traces through the ingest,
 	// routing (StageDemux), worker, and collector stages (see
@@ -102,9 +102,10 @@ type MonitorConfig struct {
 	testForceStretch int
 	// StalenessSLO is the estimate-freshness objective: a user whose
 	// last emitted update is older than this much wall time counts as
-	// stale in StaleUsers, the tagbreathe_monitor_stale_users gauge,
-	// and the FreshnessCheck health check. Staleness is evaluated both
-	// on every tick and on every StaleUsers call, so it stays current
+	// stale in MonitorStats.StaleUsers, the
+	// tagbreathe_monitor_stale_users gauge, and the FreshnessCheck
+	// health check. Staleness is evaluated both on every tick and on
+	// every Stats or FreshnessCheck call, so it stays current
 	// during transport outages when no stream-time ticks flow at all —
 	// exactly when freshness matters. 0 disables freshness tracking.
 	StalenessSLO time.Duration
@@ -203,15 +204,10 @@ type Monitor struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// last mirrors the most recent update per user, written by the
-	// collector; LastUpdates snapshots it so operators (and chaos
-	// tests) can check per-user estimates survive transport outages
-	// without consuming the update stream. lastWall records each
-	// user's last-update wall clock (UnixNano) when StalenessSLO is
-	// set; it feeds StaleUsers and the freshness gauges.
+	// lastWall records each user's last-update wall clock (UnixNano)
+	// when StalenessSLO is set, written by the collector; it feeds the
+	// stale-user count and the freshness gauges.
 	lastMu sync.Mutex
-	//tagbreathe:owner collectLoop NewMonitor
-	last map[uint64]RateUpdate
 	//tagbreathe:owner collectLoop NewMonitor
 	lastWall map[uint64]int64
 	// primary mirrors each user's currently selected (reader, antenna)
@@ -233,7 +229,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		updates: make(chan RateUpdate, 64),
 		metrics: cfg.Metrics,
 		tracer:  cfg.Tracer,
-		last:    make(map[uint64]RateUpdate),
 		primary: make(map[uint64]vantage),
 	}
 	if cfg.StalenessSLO > 0 {
@@ -284,23 +279,60 @@ func (m *Monitor) Updates() <-chan RateUpdate {
 	return m.updates
 }
 
-// DroppedReports returns how many reports the router has shed
-// under the OverloadDropNewest policy. Always zero under
-// OverloadBlock. Safe to call concurrently with ingest. It is a thin
-// reader over the tagbreathe_monitor_reports_dropped_total counter.
-func (m *Monitor) DroppedReports() uint64 {
-	return m.metrics.Dropped.Value()
+// MonitorStats is a point-in-time snapshot of a monitor's counters
+// (Monitor.Stats). Each field reads one of the monitor's instruments
+// (see MonitorMetrics). The JSON names are the keys of the
+// "degradation" object the CLI serves on /debug/fleet.
+type MonitorStats struct {
+	// Processed counts reports the shard workers fed into user
+	// engines; Dropped counts reports the router shed under
+	// OverloadDropNewest (always zero under OverloadBlock). Every
+	// admitted report is one or the other once the monitor drains.
+	Processed uint64 `json:"processed_reports"`
+	Dropped   uint64 `json:"dropped_reports"`
+	// ShedByClass partitions Dropped by the shed report's ShedClass
+	// name: unknown + primary + redundant = Dropped.
+	ShedByClass map[string]uint64 `json:"shed_by_class"`
+	// Ticks counts the analysis ticks the router broadcast;
+	// SkippedTicks counts per-worker tick deliveries skipped under
+	// tick stretch. SkippedTicks / (Ticks × ShardWorkers) is the
+	// degraded-tick occupancy.
+	Ticks        uint64 `json:"ticks"`
+	SkippedTicks uint64 `json:"skipped_ticks"`
+	// DegradedWorkers is how many shard workers are above 1× tick
+	// stretch now; PeakStretch is the highest stretch any worker has
+	// reached (1 when the ladder never engaged).
+	DegradedWorkers int `json:"degraded_workers"`
+	PeakStretch     int `json:"peak_tick_stretch"`
+	// StaleUsers counts users whose last update is older than
+	// MonitorConfig.StalenessSLO (wall clock); TrackedUsers counts the
+	// users that have emitted at all. Both are zero when the SLO is
+	// unset.
+	StaleUsers   int `json:"stale_users"`
+	TrackedUsers int `json:"tracked_users"`
 }
 
-// ProcessedReports returns how many reports the shard workers have fed
-// into user engines. Together with DroppedReports it closes the
-// ingest accounting loop: every report the router admitted is either
-// processed or dropped, so ingested_allowed = processed + dropped once
-// the monitor drains. Safe to call concurrently with ingest. It is a
-// thin reader over the tagbreathe_monitor_reports_processed_total
-// counter.
-func (m *Monitor) ProcessedReports() uint64 {
-	return m.metrics.Processed.Value()
+// Stats snapshots the monitor's counters. Safe to call at any time,
+// concurrently with ingest. With a StalenessSLO it also refreshes the
+// freshness gauges, as the tick path does.
+func (m *Monitor) Stats() MonitorStats {
+	st := MonitorStats{
+		Processed:       m.metrics.Processed.Value(),
+		Dropped:         m.metrics.Dropped.Value(),
+		ShedByClass:     make(map[string]uint64, 3),
+		Ticks:           m.metrics.Ticks.Value(),
+		SkippedTicks:    m.metrics.TicksSkipped.Value(),
+		DegradedWorkers: int(m.metrics.DegradedWorkers.Value()),
+		PeakStretch:     1,
+	}
+	for _, c := range []ShedClass{ShedUnknown, ShedPrimary, ShedRedundant} {
+		st.ShedByClass[c.String()] = m.metrics.ShedByClass.With(c.String()).Value()
+	}
+	if p := int(m.metrics.TickStretchPeak.Value()); p > 1 {
+		st.PeakStretch = p
+	}
+	st.StaleUsers, st.TrackedUsers = m.staleUsers()
+	return st
 }
 
 // VantageClass classifies a (reader, antenna) vantage for uid against
@@ -320,62 +352,6 @@ func (m *Monitor) VantageClass(uid uint64, readerID string, port int) ShedClass 
 		return ShedPrimary
 	}
 	return ShedRedundant
-}
-
-// ShedByClass returns the router's per-class shed totals under
-// quality-aware OverloadDropNewest shedding. The classes partition
-// DroppedReports: unknown + primary + redundant = dropped.
-func (m *Monitor) ShedByClass() map[string]uint64 {
-	out := make(map[string]uint64, 3)
-	for _, c := range []ShedClass{ShedUnknown, ShedPrimary, ShedRedundant} {
-		out[c.String()] = m.metrics.ShedByClass.With(c.String()).Value()
-	}
-	return out
-}
-
-// DegradedWorkers returns how many shard workers are currently above
-// 1× tick stretch — the live width of the degradation ladder. Zero
-// whenever the controller is disabled or the system is keeping up.
-func (m *Monitor) DegradedWorkers() int {
-	return int(m.metrics.DegradedWorkers.Value())
-}
-
-// SkippedTicks returns how many per-worker tick deliveries were
-// skipped under tick stretch. With Ticks × ShardWorkers as the
-// denominator it yields the degraded-tick occupancy the capacity
-// model records per point.
-func (m *Monitor) SkippedTicks() uint64 {
-	return m.metrics.TicksSkipped.Value()
-}
-
-// PeakTickStretch returns the highest stretch factor any worker has
-// reached over the monitor's lifetime (1 when the ladder never
-// engaged).
-func (m *Monitor) PeakTickStretch() int {
-	if p := int(m.metrics.TickStretchPeak.Value()); p > 1 {
-		return p
-	}
-	return 1
-}
-
-// Ticks returns how many analysis ticks the router has broadcast.
-func (m *Monitor) Ticks() uint64 {
-	return m.metrics.Ticks.Value()
-}
-
-// LastUpdates snapshots the most recent rate update per user. It is a
-// read-side window onto the stream — consuming Updates is still how
-// the data leaves the monitor — kept for operators and fault-tolerance
-// tests verifying that per-user estimates resume (rather than reset)
-// across transport outages. Safe to call at any time.
-func (m *Monitor) LastUpdates() map[uint64]RateUpdate {
-	m.lastMu.Lock()
-	defer m.lastMu.Unlock()
-	out := make(map[uint64]RateUpdate, len(m.last))
-	for uid, u := range m.last {
-		out[uid] = u
-	}
-	return out
 }
 
 // CloseInput signals that no further reports will arrive: it
@@ -673,7 +649,6 @@ func (m *Monitor) collectLoop(ticks <-chan *monitorTick) {
 			m.lastMu.Lock()
 			wall := time.Now().UnixNano()
 			for _, u := range ups {
-				m.last[u.UserID] = u
 				m.primary[u.UserID] = vantage{reader: u.ReaderID, port: u.AntennaPort}
 				if m.lastWall != nil {
 					m.lastWall[u.UserID] = wall
@@ -692,20 +667,20 @@ func (m *Monitor) collectLoop(ticks <-chan *monitorTick) {
 			m.tracer.Complete(id)
 		}
 		if m.lastWall != nil {
-			m.StaleUsers() // refresh the freshness gauges on the tick cadence
+			m.staleUsers() // refresh the freshness gauges on the tick cadence
 		}
 	}
 }
 
-// StaleUsers reports how many users' most recent emitted update is
+// staleUsers reports how many users' most recent emitted update is
 // older (wall clock) than the configured StalenessSLO, and how many
 // users have emitted at all. As a side effect it refreshes the
 // tagbreathe_monitor_stale_users and ..._oldest_update_age_seconds
-// gauges, so both the tick path and pull-driven callers (the /healthz
-// freshness check, a scrape hook) keep them current — during a
-// transport outage no stream-time ticks flow at all, which is exactly
-// when staleness must show. Returns (0, 0) when StalenessSLO is unset.
-func (m *Monitor) StaleUsers() (stale, total int) {
+// gauges, so both the tick path and pull-driven callers (Stats, the
+// /healthz freshness check) keep them current — during a transport
+// outage no stream-time ticks flow at all, which is exactly when
+// staleness must show. Returns (0, 0) when StalenessSLO is unset.
+func (m *Monitor) staleUsers() (stale, total int) {
 	if m.lastWall == nil {
 		return 0, 0
 	}
@@ -735,7 +710,7 @@ func (m *Monitor) StaleUsers() (stale, total int) {
 // /healthz verdict a load balancer or alert can act on.
 func (m *Monitor) FreshnessCheck() func() error {
 	return func() error {
-		stale, total := m.StaleUsers()
+		stale, total := m.staleUsers()
 		if stale > 0 {
 			return fmt.Errorf("core: %d of %d users stale (no update within %v)",
 				stale, total, m.cfg.StalenessSLO)

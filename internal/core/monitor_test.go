@@ -154,7 +154,7 @@ func TestMonitorIngestRacingStop(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no report was accepted before Stop")
 	}
-	if got := m.ProcessedReports(); got != uint64(total) {
+	if got := m.Stats().Processed; got != uint64(total) {
 		t.Fatalf("workers processed %d reports, producers had %d accepted", got, total)
 	}
 }
@@ -341,43 +341,5 @@ func TestMonitorApneaAlarmsStreaming(t *testing.T) {
 	}
 	if float64(steadyAlarms) > 0.1*float64(steadyTotal) {
 		t.Errorf("false alarms on steady breathing in streaming mode: %d/%d updates", steadyAlarms, steadyTotal)
-	}
-}
-
-func TestMonitorLastUpdates(t *testing.T) {
-	res := runScenario(t, 21, nil)
-	m := core.NewMonitor(core.MonitorConfig{
-		Pipeline:    core.Config{Users: res.UserIDs},
-		UpdateEvery: 5 * time.Second,
-	})
-	if snap := m.LastUpdates(); len(snap) != 0 {
-		t.Fatalf("LastUpdates before any input: %v", snap)
-	}
-	var last core.RateUpdate
-	var count int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for u := range m.Updates() {
-			last = u
-			count++
-		}
-	}()
-	for _, r := range res.Reports {
-		m.Ingest(r)
-	}
-	m.CloseInput()
-	<-done
-	m.Stop()
-	if count == 0 {
-		t.Fatal("no updates")
-	}
-	snap := m.LastUpdates()
-	u, ok := snap[res.UserIDs[0]]
-	if !ok {
-		t.Fatalf("LastUpdates missing user %x: %v", res.UserIDs[0], snap)
-	}
-	if u.UserID != last.UserID || u.Time != last.Time || u.RateBPM != last.RateBPM {
-		t.Errorf("LastUpdates = %+v, want the stream's final update %+v", u, last)
 	}
 }

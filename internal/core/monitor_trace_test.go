@@ -166,7 +166,8 @@ func TestMonitorStalenessSLO(t *testing.T) {
 	// A generous SLO: everything emitted within the last hour is fresh.
 	reg := obs.NewRegistry()
 	m, text := monitorWithTracer(t, reg, nil, time.Hour)
-	stale, total := m.StaleUsers()
+	st := m.Stats()
+	stale, total := st.StaleUsers, st.TrackedUsers
 	if total == 0 {
 		t.Fatal("no users tracked for freshness")
 	}
@@ -183,7 +184,8 @@ func TestMonitorStalenessSLO(t *testing.T) {
 
 	// A 1 ns SLO: every user is stale the moment its update lands.
 	m2, _ := monitorWithTracer(t, obs.NewRegistry(), nil, time.Nanosecond)
-	stale2, total2 := m2.StaleUsers()
+	st2 := m2.Stats()
+	stale2, total2 := st2.StaleUsers, st2.TrackedUsers
 	if total2 == 0 || stale2 != total2 {
 		t.Errorf("want all %d users stale under a 1ns SLO, got %d", total2, stale2)
 	}
@@ -194,8 +196,8 @@ func TestMonitorStalenessSLO(t *testing.T) {
 
 func TestMonitorStalenessDisabled(t *testing.T) {
 	m, _ := monitorWithTracer(t, obs.NewRegistry(), nil, 0)
-	if stale, total := m.StaleUsers(); stale != 0 || total != 0 {
-		t.Errorf("StaleUsers with no SLO = (%d, %d), want (0, 0)", stale, total)
+	if st := m.Stats(); st.StaleUsers != 0 || st.TrackedUsers != 0 {
+		t.Errorf("stale/tracked users with no SLO = (%d, %d), want (0, 0)", st.StaleUsers, st.TrackedUsers)
 	}
 	if err := m.FreshnessCheck()(); err != nil {
 		t.Errorf("freshness check with no SLO must pass, got %v", err)

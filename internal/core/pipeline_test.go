@@ -391,7 +391,7 @@ func TestExtractBreathFIRVariant(t *testing.T) {
 	for i := range bins {
 		bins[i] = x(float64(i+1)*binSec) - x(float64(i)*binSec)
 	}
-	sig, err := ExtractBreath(bins, binSec, 0, Config{UseFIRFilter: true})
+	sig, err := ExtractBreath(bins, binSec, 0, Config{Filter: FilterFIRBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,9 @@ func TestPipelineGoroutineTopology(t *testing.T) {
 		<-drained
 	})
 	deadline := time.Now().Add(10 * time.Second)
-	for mon.ProcessedReports() < 200 || mon.Ticks() == 0 {
+	for st := mon.Stats(); st.Processed < 200 || st.Ticks == 0; st = mon.Stats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never flowed: %d processed, %d ticks", mon.ProcessedReports(), mon.Ticks())
+			t.Fatalf("pipeline never flowed: %d processed, %d ticks", st.Processed, st.Ticks)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"tagbreathe/internal/core"
@@ -450,7 +451,7 @@ func (f *Fleet) Healthy() error {
 	}
 	if len(down) > 0 {
 		sort.Strings(down)
-		return fmt.Errorf("fleet: %d/%d readers down (%s)", len(down), total, joinSemi(down))
+		return fmt.Errorf("fleet: %d/%d readers down (%s)", len(down), total, strings.Join(down, "; "))
 	}
 	return nil
 }
@@ -512,16 +513,4 @@ func (f *Fleet) Close() error {
 		close(f.reports)
 	})
 	return nil
-}
-
-// joinSemi joins without importing strings for one call site.
-func joinSemi(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "; "
-		}
-		out += p
-	}
-	return out
 }

@@ -182,40 +182,7 @@ func RunPoint(opts Options) (Point, error) {
 			opts.Stream, opts.PerTagHz)
 	}
 
-	// The tracer ring is harness cost, like the synth: build it before
-	// the heap baseline so it stays out of the bytes/user figure.
-	tracer := newLoadTracer(opts.TraceSample, perTickReports(opts, total), effectiveWorkers(opts))
-	if opts.OnTracer != nil {
-		opts.OnTracer(tracer)
-	}
-
-	// Heap baseline before any monitor state exists. The synth itself
-	// is already built — its (16 bytes × users) is generator cost, not
-	// pipeline cost, and stays out of the bytes/user figure.
-	baseline := liveHeap()
-
-	mm := core.NewMonitorMetrics(nil)
-	m := core.NewMonitor(core.MonitorConfig{
-		Window:       opts.Window,
-		UpdateEvery:  opts.UpdateEvery,
-		ShardQueue:   opts.ShardQueue,
-		ShardWorkers: opts.ShardWorkers,
-		Overload:     opts.Overload,
-		Degrade:      opts.Degrade,
-		Metrics:      mm,
-		Tracer:       tracer,
-	})
-	done := make(chan int)
-	//tagbreathe:allow goroutineleak exits when Updates closes after CloseInput, and RunPoint always receives from done
-	//tagbreathe:allow ctxflow the collector is joined by the done receive below; Monitor.Stop bounds its life, not a context
-	go func() {
-		n := 0
-		for range m.Updates() {
-			n++
-		}
-		done <- n
-	}()
-
+	pt := startPointRun(opts, total)
 	cpu0 := processCPUSeconds()
 	start := time.Now()
 	buf := make([]reader.TagReport, 0, syn.ReportsPerStep())
@@ -233,20 +200,82 @@ func RunPoint(opts Options) (Point, error) {
 					time.Sleep(ahead)
 				}
 			}
-			m.Ingest(r)
+			pt.m.Ingest(r)
 		}
 	}
+	return pt.finish(start, cpu0)
+}
+
+// pointRun is one capacity point's monitor under measurement: the
+// part RunPoint and RunWirePoint share around their different ways of
+// feeding it.
+type pointRun struct {
+	opts     Options
+	total    int // reports the point offers
+	m        *core.Monitor
+	mm       *core.MonitorMetrics
+	tracer   *obs.Tracer
+	baseline uint64 // live heap before any monitor state exists
+	updates  chan int
+}
+
+// startPointRun builds the point's tracer and monitor and starts
+// counting its updates.
+func startPointRun(opts Options, total int) *pointRun {
+	// The tracer ring is harness cost, like the synth: build it before
+	// the heap baseline so it stays out of the bytes/user figure.
+	tracer := newLoadTracer(opts.TraceSample, perTickReports(opts, total), effectiveWorkers(opts))
+	if opts.OnTracer != nil {
+		opts.OnTracer(tracer)
+	}
+	pt := &pointRun{
+		opts:   opts,
+		total:  total,
+		mm:     core.NewMonitorMetrics(nil),
+		tracer: tracer,
+		// Heap baseline before any monitor state exists. The synth
+		// itself is already built — its (16 bytes × users) is generator
+		// cost, not pipeline cost, and stays out of the bytes/user
+		// figure.
+		baseline: liveHeap(),
+		updates:  make(chan int, 1),
+	}
+	pt.m = core.NewMonitor(core.MonitorConfig{
+		Window:       opts.Window,
+		UpdateEvery:  opts.UpdateEvery,
+		ShardQueue:   opts.ShardQueue,
+		ShardWorkers: opts.ShardWorkers,
+		Overload:     opts.Overload,
+		Degrade:      opts.Degrade,
+		Metrics:      pt.mm,
+		Tracer:       tracer,
+	})
+	//tagbreathe:allow goroutineleak exits when Updates closes, after CloseInput or Stop; the buffered send never blocks
+	//tagbreathe:allow ctxflow Monitor.Stop bounds the counter's life, not a context
+	go func() {
+		n := 0
+		for range pt.m.Updates() {
+			n++
+		}
+		pt.updates <- n
+	}()
+	return pt
+}
+
+// finish is the shared tail of a capacity point: settle, measure the
+// steady state, close the monitor, build the Point, and check the
+// accounting. start and cpu0 mark the start of the load phase.
+func (pt *pointRun) finish(start time.Time, cpu0 float64) (Point, error) {
 	// Settle: every admitted report is processed or dropped, so the
 	// worker queues are drained and the engines hold their steady
-	// state. This is the closed-loop accounting gate — a report that
-	// neither lands in an engine nor in the drop counter would hang
-	// the harness here, loudly.
+	// state. A report that neither lands in an engine nor in the drop
+	// counter would hang the harness here, loudly.
 	settleDeadline := time.Now().Add(2 * time.Minute)
-	for mm.Processed.Value()+mm.Dropped.Value() < uint64(total) {
+	for pt.mm.Processed.Value()+pt.mm.Dropped.Value() < uint64(pt.total) {
 		if time.Now().After(settleDeadline) {
-			m.Stop()
+			pt.m.Stop()
 			return Point{}, fmt.Errorf("load: %d of %d reports unaccounted after settle timeout",
-				uint64(total)-mm.Processed.Value()-mm.Dropped.Value(), total)
+				uint64(pt.total)-pt.mm.Processed.Value()-pt.mm.Dropped.Value(), pt.total)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
@@ -259,45 +288,46 @@ func RunPoint(opts Options) (Point, error) {
 	goroutines := runtime.NumGoroutine()
 	heap := liveHeap()
 
-	m.CloseInput()
-	updates := <-done
-	m.Stop()
+	pt.m.CloseInput()
+	updates := <-pt.updates
+	pt.m.Stop()
 
 	var heapDelta uint64
-	if heap > baseline {
-		heapDelta = heap - baseline
+	if heap > pt.baseline {
+		heapDelta = heap - pt.baseline
 	}
+	st := pt.m.Stats()
 	p := Point{
-		Users:         opts.Users,
-		Reports:       total,
+		Users:         pt.opts.Users,
+		Reports:       pt.total,
 		Updates:       updates,
-		Processed:     mm.Processed.Value(),
-		Dropped:       mm.Dropped.Value(),
-		DropFrac:      float64(mm.Dropped.Value()) / float64(total),
+		Processed:     st.Processed,
+		Dropped:       st.Dropped,
+		DropFrac:      float64(st.Dropped) / float64(pt.total),
 		WallSeconds:   wall,
 		CPUSeconds:    cpu1 - cpu0,
-		ReportsPerSec: float64(total) / wall,
-		BytesPerUser:  float64(heapDelta) / float64(opts.Users),
+		ReportsPerSec: float64(pt.total) / wall,
+		BytesPerUser:  float64(heapDelta) / float64(pt.opts.Users),
 		HeapBytes:     heapDelta,
-		TickP50Micros: mm.ShardTickSeconds.Quantile(0.50) * 1e6,
-		TickP99Micros: mm.ShardTickSeconds.Quantile(0.99) * 1e6,
+		TickP50Micros: pt.mm.ShardTickSeconds.Quantile(0.50) * 1e6,
+		TickP99Micros: pt.mm.ShardTickSeconds.Quantile(0.99) * 1e6,
 		Goroutines:    goroutines,
-		PeakStretch:   m.PeakTickStretch(),
+		PeakStretch:   st.PeakStretch,
 	}
-	if deliveries := m.Ticks() * uint64(effectiveWorkers(opts)); deliveries > 0 {
-		p.DegradedTickFrac = float64(m.SkippedTicks()) / float64(deliveries)
+	if deliveries := st.Ticks * uint64(effectiveWorkers(pt.opts)); deliveries > 0 {
+		p.DegradedTickFrac = float64(st.SkippedTicks) / float64(deliveries)
 	}
-	if n := tracer.Completed(); n > 0 {
-		p.E2EP50Micros = tracer.EndToEnd().Quantile(0.50) * 1e6
-		p.E2EP99Micros = tracer.EndToEnd().Quantile(0.99) * 1e6
+	if n := pt.tracer.Completed(); n > 0 {
+		p.E2EP50Micros = pt.tracer.EndToEnd().Quantile(0.50) * 1e6
+		p.E2EP99Micros = pt.tracer.EndToEnd().Quantile(0.99) * 1e6
 		p.TracesCompleted = n
 	}
-	if opts.Overload == core.OverloadBlock && p.Dropped != 0 {
+	if pt.opts.Overload == core.OverloadBlock && p.Dropped != 0 {
 		return p, fmt.Errorf("load: OverloadBlock dropped %d reports", p.Dropped)
 	}
-	if p.Processed+p.Dropped != uint64(total) {
+	if p.Processed+p.Dropped != uint64(pt.total) {
 		return p, fmt.Errorf("load: accounting broken: processed %d + dropped %d != %d admitted",
-			p.Processed, p.Dropped, total)
+			p.Processed, p.Dropped, pt.total)
 	}
 	return p, nil
 }

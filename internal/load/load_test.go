@@ -3,6 +3,7 @@ package load
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,6 +197,39 @@ func TestWirePointSmall(t *testing.T) {
 		t.Error("wire path completed no traces")
 	} else if p.E2EP50Micros <= 0 {
 		t.Errorf("wire path e2e p50 %.1f µs, want > 0", p.E2EP50Micros)
+	}
+}
+
+// TestPointAccountingGate hands the shared point tail counts no real
+// run produces — a drop under OverloadBlock, a processed report nobody
+// admitted — and checks that it fails the point. RunPoint and
+// RunWirePoint both end in this tail.
+func TestPointAccountingGate(t *testing.T) {
+	opts := Options{Users: 1}
+	opts.fillDefaults()
+	for _, tc := range []struct {
+		name               string
+		admitted           int
+		processed, dropped uint64
+		overload           core.OverloadPolicy
+		want               string
+	}{
+		{"block dropped", 1, 0, 1, core.OverloadBlock, "OverloadBlock dropped 1 reports"},
+		{"unadmitted processed", 0, 2, 0, core.OverloadBlock, "accounting broken"},
+		{"unadmitted dropped", 0, 0, 1, core.OverloadDropNewest, "accounting broken"},
+		{"exact", 2, 1, 1, core.OverloadDropNewest, ""},
+	} {
+		opts.Overload = tc.overload
+		pt := startPointRun(opts, tc.admitted)
+		pt.mm.Processed.Add(tc.processed)
+		pt.mm.Dropped.Add(tc.dropped)
+		_, err := pt.finish(time.Now(), processCPUSeconds())
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"runtime"
 	"time"
 
-	"tagbreathe/internal/core"
 	"tagbreathe/internal/llrp"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
@@ -89,39 +87,15 @@ func RunWirePoint(opts Options) (Point, error) {
 		<-served
 	}()
 
-	tracer := newLoadTracer(opts.TraceSample, perTickReports(opts, total), effectiveWorkers(opts))
-	if opts.OnTracer != nil {
-		opts.OnTracer(tracer)
-	}
-	baseline := liveHeap()
-	mm := core.NewMonitorMetrics(nil)
-	m := core.NewMonitor(core.MonitorConfig{
-		Window:       opts.Window,
-		UpdateEvery:  opts.UpdateEvery,
-		ShardQueue:   opts.ShardQueue,
-		ShardWorkers: opts.ShardWorkers,
-		Overload:     opts.Overload,
-		Degrade:      opts.Degrade,
-		Metrics:      mm,
-		Tracer:       tracer,
-	})
-	done := make(chan int)
-	//tagbreathe:allow goroutineleak exits when Updates closes after CloseInput, and RunWirePoint always receives from done
-	//tagbreathe:allow ctxflow the collector is joined by the done receive below; Monitor.Stop bounds its life, not a context
-	go func() {
-		n := 0
-		for range m.Updates() {
-			n++
-		}
-		done <- n
-	}()
+	pt := startPointRun(opts, total)
+	m := pt.m
 
 	// Traced dial: sampled reports are stamped at frame decode, so wire
 	// e2e latency includes the read→ingest hop the in-process path
 	// can't see.
 	//tagbreathe:allow ctxflow harness-local dial timeout; cancelDial fires immediately after the dial returns
 	dialCtx, cancelDial := context.WithTimeout(context.Background(), 10*time.Second)
-	c, err := llrp.DialContextTraced(dialCtx, ln.Addr().String(), nil, tracer)
+	c, err := llrp.DialContextTraced(dialCtx, ln.Addr().String(), nil, pt.tracer)
 	cancelDial()
 	if err != nil {
 		m.Stop()
@@ -167,51 +141,5 @@ pump:
 		return Point{}, fmt.Errorf("load: wire stream ended at %d/%d reports (client err: %v)",
 			received, total, c.Err())
 	}
-	settleDeadline := time.Now().Add(2 * time.Minute)
-	for mm.Processed.Value()+mm.Dropped.Value() < uint64(total) {
-		if time.Now().After(settleDeadline) {
-			m.Stop()
-			return Point{}, fmt.Errorf("load: wire settle timeout")
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	wall := time.Since(start).Seconds()
-	cpu1 := processCPUSeconds()
-	goroutines := runtime.NumGoroutine()
-	heap := liveHeap()
-
-	m.CloseInput()
-	updates := <-done
-	m.Stop()
-
-	var heapDelta uint64
-	if heap > baseline {
-		heapDelta = heap - baseline
-	}
-	p := Point{
-		Users:         opts.Users,
-		Reports:       total,
-		Updates:       updates,
-		Processed:     mm.Processed.Value(),
-		Dropped:       mm.Dropped.Value(),
-		DropFrac:      float64(mm.Dropped.Value()) / float64(total),
-		WallSeconds:   wall,
-		CPUSeconds:    cpu1 - cpu0,
-		ReportsPerSec: float64(total) / wall,
-		BytesPerUser:  float64(heapDelta) / float64(opts.Users),
-		HeapBytes:     heapDelta,
-		TickP50Micros: mm.ShardTickSeconds.Quantile(0.50) * 1e6,
-		TickP99Micros: mm.ShardTickSeconds.Quantile(0.99) * 1e6,
-		Goroutines:    goroutines,
-		PeakStretch:   m.PeakTickStretch(),
-	}
-	if deliveries := m.Ticks() * uint64(effectiveWorkers(opts)); deliveries > 0 {
-		p.DegradedTickFrac = float64(m.SkippedTicks()) / float64(deliveries)
-	}
-	if n := tracer.Completed(); n > 0 {
-		p.E2EP50Micros = tracer.EndToEnd().Quantile(0.50) * 1e6
-		p.E2EP99Micros = tracer.EndToEnd().Quantile(0.99) * 1e6
-		p.TracesCompleted = n
-	}
-	return p, nil
+	return pt.finish(start, cpu0)
 }

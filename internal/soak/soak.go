@@ -151,7 +151,8 @@ type Result struct {
 	// soak whose bursts never engage the ladder proves nothing.
 	PeakStretch  int
 	SkippedTicks uint64
-	// DegradedAtEnd is DegradedWorkers at the end of the calm tail.
+	// DegradedAtEnd is MonitorStats.DegradedWorkers at the end of the
+	// calm tail.
 	DegradedAtEnd int
 	// MonitorShed and FleetShed are the per-class shed totals at the
 	// monitor's router and the fleet merge respectively.
@@ -429,15 +430,16 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 		}
 	}
 
+	st := mon.Stats()
 	r := Result{
 		Profile:           p.Name,
 		WallSeconds:       time.Since(start).Seconds(),
 		StreamSeconds:     (time.Duration(float64(time.Since(start)) * p.Speed)).Seconds(),
 		GapLimitS:         30 + p.StallStream.Seconds(),
-		PeakStretch:       mon.PeakTickStretch(),
-		SkippedTicks:      mon.SkippedTicks(),
-		DegradedAtEnd:     mon.DegradedWorkers(),
-		MonitorShed:       mon.ShedByClass(),
+		PeakStretch:       st.PeakStretch,
+		SkippedTicks:      st.SkippedTicks,
+		DegradedAtEnd:     st.DegradedWorkers,
+		MonitorShed:       st.ShedByClass,
 		FleetShed:         map[string]uint64{},
 		GoroutineBaseline: baseline,
 		HeapEarlyBytes:    heapEarly,

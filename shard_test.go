@@ -138,7 +138,7 @@ func TestMonitorOverloadPolicies(t *testing.T) {
 	if n := <-done; n == 0 {
 		t.Error("blocking monitor produced no updates")
 	}
-	if d := m.DroppedReports(); d != 0 {
+	if d := m.Stats().Dropped; d != 0 {
 		t.Errorf("OverloadBlock dropped %d reports, want 0", d)
 	}
 

@@ -49,7 +49,6 @@ import (
 	"tagbreathe/internal/epc"
 	"tagbreathe/internal/fleet"
 	"tagbreathe/internal/llrp"
-	"tagbreathe/internal/multimodal"
 	"tagbreathe/internal/obs"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
@@ -71,10 +70,11 @@ type (
 	Monitor = core.Monitor
 	// MonitorConfig tunes the streaming monitor.
 	MonitorConfig = core.MonitorConfig
+	// MonitorStats is a snapshot of the monitor's counters (see
+	// Monitor.Stats).
+	MonitorStats = core.MonitorStats
 	// RateUpdate is one realtime per-user rate estimate.
 	RateUpdate = core.RateUpdate
-	// DisplacementSample is one Eq. 3 displacement value.
-	DisplacementSample = core.DisplacementSample
 	// OverloadPolicy selects what the monitor does when a shard
 	// worker's queue overflows (see MonitorConfig.Overload).
 	OverloadPolicy = core.OverloadPolicy
@@ -94,11 +94,9 @@ type (
 
 // Band-pass filter modes for Config.Filter.
 const (
-	// FilterDefault resolves via Config.UseFIRFilter: the FFT filter
-	// unless it asks for the batch FIR.
-	FilterDefault = core.FilterDefault
-	// FilterFFT recomputes the window each tick through the FFT
-	// band-pass — the paper's reference extraction (§IV-B).
+	// FilterFFT (the zero value) recomputes the window each tick
+	// through the FFT band-pass — the paper's reference extraction
+	// (§IV-B).
 	FilterFFT = core.FilterFFT
 	// FilterFIRBatch recomputes the window each tick through the
 	// linear-phase FIR band-pass.
@@ -115,7 +113,7 @@ const (
 	// OverloadBlock applies lossless backpressure to Ingest (default).
 	OverloadBlock = core.OverloadBlock
 	// OverloadDropNewest sheds the incoming report for a full shard
-	// queue and counts it (Monitor.DroppedReports).
+	// queue and counts it (MonitorStats.Dropped).
 	OverloadDropNewest = core.OverloadDropNewest
 )
 
@@ -179,8 +177,6 @@ const (
 type (
 	// LLRPClient is the host end of an LLRP connection.
 	LLRPClient = llrp.Client
-	// LLRPServer is the reader end (used by the emulator daemon).
-	LLRPServer = llrp.Server
 	// ROSpecConfig selects antennas and report batching.
 	ROSpecConfig = llrp.ROSpecConfig
 	// LLRPSession is a managed reader connection: it dials, provisions
@@ -421,15 +417,10 @@ func ServeDebug(addr string, r *MetricsRegistry) (*DebugServer, error) {
 	return obs.ServeDebug(addr, r)
 }
 
-// DialLLRPWithMetrics is DialLLRP with protocol instrumentation.
-func DialLLRPWithMetrics(addr string, m *LLRPClientMetrics) (*LLRPClient, error) {
-	return llrp.DialWithMetrics(addr, 10*time.Second, m)
-}
-
-// DialLLRPTraced is DialLLRPWithMetrics with pipeline tracing: the
-// client stamps StageRead on sampled reports as frames decode, so
-// end-to-end traces price the read→ingest hop too. A nil tracer
-// traces nothing.
+// DialLLRPTraced is DialLLRP with protocol instrumentation and
+// pipeline tracing: the client stamps StageRead on sampled reports as
+// frames decode, so end-to-end traces price the read→ingest hop too.
+// A nil tracer traces nothing.
 func DialLLRPTraced(addr string, m *LLRPClientMetrics, tr *Tracer) (*LLRPClient, error) {
 	//tagbreathe:allow ctxflow facade convenience dial with a fixed timeout; context callers use llrp.DialContextTraced
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -437,17 +428,9 @@ func DialLLRPTraced(addr string, m *LLRPClientMetrics, tr *Tracer) (*LLRPClient,
 	return llrp.DialContextTraced(ctx, addr, m, tr)
 }
 
-// Baseline estimators for comparison studies.
-type (
-	// BaselineEstimator is the common interface of the comparators.
-	BaselineEstimator = baseline.Estimator
-	// RadarScenario simulates a CW Doppler radar over the same
-	// subjects, the paper's motivating comparison.
-	RadarScenario = baseline.RadarScenario
-	// MultiModalEstimator fuses phase, RSSI, and Doppler (§IV-D.2's
-	// proposed enhancement).
-	MultiModalEstimator = multimodal.Estimator
-)
+// RadarScenario simulates a CW Doppler radar over the same subjects,
+// the paper's motivating comparison.
+type RadarScenario = baseline.RadarScenario
 
 // Respiratory analytics (the healthcare applications §I motivates).
 type (
