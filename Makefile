@@ -27,6 +27,7 @@ vuln:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=10s -run '^$$' ./internal/llrp/
+	$(GO) test -fuzz=FuzzEngineFeed -fuzztime=10s -run '^$$' ./internal/core/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateUsers|BenchmarkMonitorUsers' -benchtime=1x .

@@ -47,37 +47,50 @@ type DisplacementSample struct {
 // comparable within a key — across channels both λ and the circuit
 // constant c change (Fig. 4), across antennas the geometry changes,
 // and across readers everything changes (independent oscillators,
-// independent geometry), so fleet provenance is part of the key.
+// independent geometry), so fleet provenance is part of the key. The
+// reader is its interned number (Differencer.readers), so the key
+// hashes without touching a string.
 type streamKey struct {
-	reader  string
-	user    uint64
+	reader  int32
 	tag     uint32
 	antenna int
+	user    uint64
 	channel int
 }
 
-// lastPhase remembers the previous reading of a stream.
-type lastPhase struct {
-	t     float64
-	phase units.Radians
-	valid bool
+// phaseStream is one stream's slot: its previous reading, and the
+// vantage and tag it belongs to. valid is false until the stream's
+// first reading, and again once CloseVantage retires it.
+type phaseStream struct {
+	t       float64
+	phase   units.Radians
+	reader  int32
+	tag     uint32
+	antenna int
+	valid   bool
 }
 
 // Differencer converts a report stream into per-tag displacement
 // streams, implementing the preprocessing of §IV-A.3. It is a
 // stateful, streaming component: feed reports in timestamp order and
 // collect displacement samples per (user, tag, antenna).
+//
+// Streams live in a slice in first-seen order. index finds a stream's
+// slot by key; the stage engine looks each stream up there once and
+// then addresses it by slot (Engine.streamOf).
 type Differencer struct {
-	cfg  Config
-	last map[streamKey]lastPhase
+	cfg     Config
+	readers smallSet[string]
+	index   map[streamKey]int32
+	streams []phaseStream
 }
 
 // NewDifferencer builds a Differencer with the given pipeline config.
 func NewDifferencer(cfg Config) *Differencer {
 	cfg.fillDefaults()
 	return &Differencer{
-		cfg:  cfg,
-		last: make(map[streamKey]lastPhase),
+		cfg:   cfg,
+		index: make(map[streamKey]int32),
 	}
 }
 
@@ -96,25 +109,67 @@ type TagDisplacement struct {
 // only primes its stream (first reading on a channel, or the
 // predecessor was too old to difference against).
 func (df *Differencer) Ingest(r reader.TagReport) (TagDisplacement, bool) {
-	key := streamKey{
-		reader:  r.ReaderID,
-		user:    r.EPC.UserID(),
-		tag:     r.EPC.TagID(),
-		antenna: r.AntennaPort,
-		channel: r.ChannelIndex,
-	}
-	if df.cfg.IgnoreChannelGrouping {
-		key.channel = 0 // ablation: one stream per tag regardless of hop
-	}
-	t := r.Timestamp.Seconds()
-	prev := df.last[key]
-	df.last[key] = lastPhase{t: t, phase: r.Phase, valid: true}
-
-	if !prev.valid || t-prev.t > df.cfg.MaxPhaseGap || t <= prev.t {
+	d, ok := df.difference(df.stream(df.reader(r.ReaderID), &r), &r, r.Timestamp.Seconds())
+	if !ok {
 		return TagDisplacement{}, false
 	}
+	return TagDisplacement{
+		UserID:  r.EPC.UserID(),
+		TagID:   r.EPC.TagID(),
+		Antenna: r.AntennaPort,
+		Sample:  d,
+	}, true
+}
 
-	dtheta := units.WrapPhaseDiff(r.Phase - prev.phase)
+// reader returns the interned number of a reader ID.
+func (df *Differencer) reader(id string) int32 {
+	if ri, ok := df.readers.find(id); ok {
+		return ri
+	}
+	return df.readers.add(id)
+}
+
+// channel is the channel part of r's stream key.
+func (df *Differencer) channel(r *reader.TagReport) int {
+	if df.cfg.IgnoreChannelGrouping {
+		return 0 // ablation: one stream per tag regardless of hop
+	}
+	return r.ChannelIndex
+}
+
+// stream returns the slot of r's stream on interned reader ri,
+// creating the stream on its first report.
+func (df *Differencer) stream(ri int32, r *reader.TagReport) int32 {
+	key := streamKey{
+		reader:  ri,
+		antenna: r.AntennaPort,
+		user:    r.EPC.UserID(),
+		tag:     r.EPC.TagID(),
+		channel: df.channel(r),
+	}
+	if s, ok := df.index[key]; ok {
+		return s
+	}
+	s := int32(len(df.streams))
+	df.streams = append(df.streams, phaseStream{reader: ri, tag: key.tag, antenna: key.antenna})
+	df.index[key] = s
+	return s
+}
+
+// difference applies Eq. 3 to report r, read at t seconds, on stream
+// slot s: it records r as the stream's latest reading and returns the
+// displacement since the previous one, or false when r only primes the
+// stream.
+func (df *Differencer) difference(s int32, r *reader.TagReport, t float64) (DisplacementSample, bool) {
+	ps := &df.streams[s]
+	prevT, prevPhase, prevValid := ps.t, ps.phase, ps.valid
+	ps.t, ps.phase, ps.valid = t, r.Phase, true
+
+	if !prevValid || t-prevT > df.cfg.MaxPhaseGap || t <= prevT {
+		return DisplacementSample{}, false
+	}
+
+	dtheta := units.WrapPhaseDiff(r.Phase - prevPhase)
 	if df.cfg.PiAmbiguityMitigation {
 		// Readers that cannot resolve the BPSK constellation add
 		// random π flips; folding the difference into (-π/2, π/2]
@@ -127,18 +182,82 @@ func (df *Differencer) Ingest(r reader.TagReport) (TagDisplacement, bool) {
 	// 2d, so a phase change Δθ corresponds to a distance change of
 	// λΔθ/(4π).
 	d := lambda / (4 * math.Pi) * float64(dtheta)
-	return TagDisplacement{
-		UserID:  key.user,
-		TagID:   key.tag,
-		Antenna: key.antenna,
-		Sample:  DisplacementSample{T: t, TPrev: prev.t, D: d},
-	}, true
+	return DisplacementSample{T: t, TPrev: prevT, D: d}, true
+}
+
+// closeStreams retires every stream of one (reader, antenna) vantage:
+// each re-primes on its next report, and none pins EarliestOpenStream
+// meanwhile.
+func (df *Differencer) closeStreams(readerID string, port int) {
+	ri, ok := df.readers.find(readerID)
+	if !ok {
+		return
+	}
+	for i := range df.streams {
+		if s := &df.streams[i]; s.reader == ri && s.antenna == port {
+			s.valid = false
+		}
+	}
+}
+
+// tagsOn counts the distinct tag IDs that reported on one (reader,
+// antenna) vantage.
+func (df *Differencer) tagsOn(ri int32, port int) int {
+	tags := make(map[uint32]struct{})
+	for _, s := range df.streams {
+		if s.reader == ri && s.antenna == port {
+			tags[s.tag] = struct{}{}
+		}
+	}
+	return len(tags)
 }
 
 // Reset clears all stream state (e.g., when a sliding window advances
 // far enough that stale predecessors should not be differenced).
 func (df *Differencer) Reset() {
-	clear(df.last)
+	df.readers = smallSet[string]{}
+	clear(df.index)
+	df.streams = df.streams[:0]
+}
+
+// scanKeys is how many keys a smallSet finds by linear scan before it
+// falls back to its map.
+const scanKeys = 8
+
+// smallSet numbers distinct keys densely in first-seen order. The
+// first scanKeys keys are found by a linear scan, cheaper than hashing
+// for the few readers or vantages one user sees; later keys are found
+// through a map, so a hostile stream cannot make lookups linear.
+type smallSet[K comparable] struct {
+	keys []K
+	over map[K]int32
+}
+
+// find returns k's number, or false if k was never added.
+func (s *smallSet[K]) find(k K) (int32, bool) {
+	for i, key := range s.keys[:min(len(s.keys), scanKeys)] {
+		if key == k {
+			return int32(i), true
+		}
+	}
+	if len(s.keys) > scanKeys {
+		i, ok := s.over[k]
+		return i, ok
+	}
+	return 0, false
+}
+
+// add numbers a key find does not know.
+func (s *smallSet[K]) add(k K) int32 {
+	i := int32(len(s.keys))
+	s.keys = append(s.keys, k)
+	if i >= scanKeys {
+		if s.over == nil {
+			s.over = make(map[K]int32)
+		}
+		s.over[k] = i
+	}
+	return i
 }
 
 // foldPi maps a wrapped phase difference into (-π/2, π/2] by removing

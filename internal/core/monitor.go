@@ -407,12 +407,15 @@ type shardResult struct {
 // reports that preceded it.
 type shardInput struct {
 	report reader.TagReport
-	tick   *monitorTick
-	// occ is the worker's queue occupancy sampled by the router at tick
-	// broadcast (tick entries only): the backlog queued ahead of the
-	// tick. Sampled at dequeue it would under-read — the worker drains
-	// the queue ahead of the tick before observing it — so the router
-	// records the pressure the tick was born under.
+	// slot is the report's user in the worker's engine table, assigned
+	// by the router on the user's first report.
+	slot int32
+	tick *monitorTick
+	// occ is the worker's queue occupancy the router found when it
+	// queued this entry, read for ticks only: the backlog queued ahead
+	// of the tick. Sampled at dequeue it would under-read — the worker
+	// drains the queue ahead of the tick before observing it — so the
+	// router records the pressure the tick was born under.
 	occ int
 	// closeVantage marks this entry as a vantage-gate tombstone: the
 	// router has stopped forwarding the report's (reader, antenna)
@@ -433,18 +436,20 @@ type gateKey struct {
 
 // workerLoop is one shard worker: an event loop owning the complete
 // pipeline state of every user the router assigned to it — the only
-// writer of those engines, ever. It feeds each report into its user's
-// stage engine as it arrives (so differencing and Eq. 6 fusion are
-// already done when a tick lands) and answers ticks by analyzing all
-// its users in assignment order; the worker pool is where the
-// monitor's parallelism across users comes from.
+// writer of those engines, ever. It takes its queue a span at a time,
+// feeds each report into its user's stage engine (so differencing and
+// Eq. 6 fusion are already done when a tick lands) and answers ticks
+// by analyzing all its users in first-report order; the worker pool is
+// where the monitor's parallelism across users comes from.
 //
 //tagbreathe:hotpath per-report feed path; the tick branch is the 1/UpdateEvery cold side and carries its own allows
-func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
+func (m *Monitor) workerLoop(wi int, q *shardRing) {
 	defer m.wg.Done()
 
-	engines := make(map[uint64]*Engine) //tagbreathe:allow hotpath one engine table per worker lifetime, built before the loop
-	var order []*Engine                 // tick in first-report order, deterministically
+	// engines is indexed by the router's user slot; a slot stays nil
+	// until its user's first report is fed (earlier ones may be shed).
+	var engines []*Engine
+	var order []*Engine // tick in first-report order, deterministically
 
 	// Per-worker lag gauge handles, resolved once (Vec.With takes the
 	// family lock; the Set calls below are single atomics).
@@ -480,8 +485,16 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 	// tick one at a time, so they share it.
 	window := new([]float64)
 
-	for in := range q {
+	for {
+		in, ok := q.next()
+		if !ok {
+			break
+		}
 		if in.tick != nil {
+			// The tick's analysis is the worker's long stall: free the
+			// reports fed before it first, so meanwhile only entries not
+			// yet fed hold the queue's slots.
+			q.releaseFed()
 			tick := in.tick
 			occ := 0
 			stretch := 1
@@ -554,22 +567,25 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 			tick.results <- res
 			continue
 		}
-		r := in.report
+		r := &in.report
+		var eng *Engine
+		if int(in.slot) < len(engines) {
+			eng = engines[in.slot]
+		}
 		if in.closeVantage {
 			// Vantage-gate tombstone: the router silenced this (reader,
 			// antenna) vantage; retire its phase streams so they cannot
 			// pin the finality horizon. The report itself was already
 			// counted shed.
-			if eng, ok := engines[r.EPC.UserID()]; ok {
+			if eng != nil {
 				eng.CloseVantage(r.ReaderID, r.AntennaPort)
 			}
 			continue
 		}
 		m.tracer.Stamp(r.TraceID, obs.StageWorker) // dequeue: queue wait ends here
 		uid := r.EPC.UserID()
-		eng, ok := engines[uid]
-		if !ok {
-			//tagbreathe:allow hotpath first sighting of a user: engine construction happens once, then every report hits the map
+		if eng == nil {
+			//tagbreathe:allow hotpath first fed report of a user: engine construction happens once, then every report indexes the slot
 			eng = NewEngine(m.cfg.Pipeline, EngineOptions{
 				Window:        m.cfg.Window.Seconds(),
 				TickStride:    m.cfg.UpdateEvery.Seconds(),
@@ -578,10 +594,13 @@ func (m *Monitor) workerLoop(wi int, q <-chan shardInput) {
 				Metrics:       m.metrics,
 				window:        window,
 			})
-			engines[uid] = eng
+			for int(in.slot) >= len(engines) {
+				engines = append(engines, nil)
+			}
+			engines[in.slot] = eng
 			order = append(order, eng)
 		}
-		eng.Feed(r)
+		eng.Feed(*r)
 		m.metrics.Processed.Inc()
 		if r.TraceID != 0 {
 			m.tracer.Stamp(r.TraceID, obs.StageFeed)

@@ -70,8 +70,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzDecodeMessage hammers the wire-format entry points a hostile or
 // corrupted peer controls: the frame reader and every payload decoder.
 // The invariant is no panic and no unbounded allocation — malformed
-// input must come back as an error — and any frame that does parse
-// must survive a write/read roundtrip unchanged.
+// input must come back as an error — any frame that does parse must
+// survive a write/read roundtrip unchanged, and decoding tag reports
+// onto a reused buffer must equal a fresh decode.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -84,10 +85,35 @@ func FuzzDecodeMessage(f *testing.F) {
 		// Every payload decoder must tolerate this payload, whatever
 		// message type it claims.
 		_, _, _ = DecodeStatus(m.Payload)
-		_, _ = DecodeTagReports(m.Payload)
+		fresh, ferr := DecodeTagReports(m.Payload)
 		_, _ = DecodeROSpec(m.Payload)
 		_, _ = DecodeROSpecID(m.Payload)
 		_, _ = DecodeCapabilities(m.Payload)
+
+		// The read loop decodes each frame onto the previous frame's
+		// reports: whatever the reused array held must not leak into
+		// the result.
+		stale := make([]reader.TagReport, 4, 8)
+		for i := range stale {
+			stale[i] = reader.TagReport{
+				EPC: epc.NewUserTagEPC(^uint64(0), 99), AntennaPort: -1, ChannelIndex: -1,
+				Frequency: 1, Timestamp: -1, Phase: 9, RSSI: 9, DopplerHz: 9, TraceID: 9, ReaderID: "stale",
+			}
+		}
+		reused, rerr := appendTagReports(stale[:0], m.Payload)
+		if (ferr == nil) != (rerr == nil) {
+			t.Fatalf("fresh decode err %v, reused-buffer decode err %v", ferr, rerr)
+		}
+		if ferr == nil {
+			if len(fresh) != len(reused) {
+				t.Fatalf("fresh decode gave %d reports, reused-buffer decode %d", len(fresh), len(reused))
+			}
+			for i := range fresh {
+				if fresh[i] != reused[i] {
+					t.Fatalf("report %d: fresh %+v, reused-buffer %+v", i, fresh[i], reused[i])
+				}
+			}
+		}
 
 		// Roundtrip: a frame that parsed must re-encode and re-parse
 		// to the same message.

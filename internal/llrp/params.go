@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"tagbreathe/internal/epc"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/units"
 )
@@ -164,72 +163,95 @@ func EncodeTagReport(r reader.TagReport) []byte {
 }
 
 // DecodeTagReports parses every TagReportData in an RO_ACCESS_REPORT
-// payload back into reader.TagReport values.
+// payload back into reader.TagReport values. It counts the reports
+// first, so the result is allocated once.
 func DecodeTagReports(payload []byte) ([]reader.TagReport, error) {
-	var out []reader.TagReport
+	n := 0
+	it := tlvIter{rest: payload}
+	for {
+		// A malformed parameter ends the count; the decode below
+		// reports the first error in payload order.
+		t, _, ok, err := it.next()
+		if !ok || err != nil {
+			break
+		}
+		if t == ParamTagReportData {
+			n++
+		}
+	}
+	out, err := appendTagReports(make([]reader.TagReport, 0, n), payload)
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendTagReports decodes every TagReportData in payload onto dst and
+// returns the extended slice. A caller that decodes each frame onto
+// its previous result[:0] reuses one backing array across frames; the
+// decoded reports never carry fields over from what the array held.
+func appendTagReports(dst []reader.TagReport, payload []byte) ([]reader.TagReport, error) {
 	it := tlvIter{rest: payload}
 	for {
 		t, body, ok, err := it.next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if !ok {
-			return out, nil
+			return dst, nil
 		}
 		if t != ParamTagReportData {
 			continue
 		}
-		r, err := decodeOneTagReport(body)
-		if err != nil {
-			return nil, err
+		dst = append(dst, reader.TagReport{})
+		if err := decodeOneTagReport(body, &dst[len(dst)-1]); err != nil {
+			return dst, err
 		}
-		out = append(out, r)
 	}
 }
 
-func decodeOneTagReport(body []byte) (reader.TagReport, error) {
-	var r reader.TagReport
+// decodeOneTagReport parses one TagReportData body into r, which the
+// caller has zeroed.
+func decodeOneTagReport(body []byte, r *reader.TagReport) error {
 	it := tlvIter{rest: body}
 	for {
 		t, b, ok, err := it.next()
 		if err != nil {
-			return r, err
+			return err
 		}
 		if !ok {
-			return r, nil
+			return nil
 		}
 		switch t {
 		case ParamEPCData:
 			if len(b) != 12 {
-				return r, fmt.Errorf("llrp: EPCData of %d bytes, want 12", len(b))
+				return fmt.Errorf("llrp: EPCData of %d bytes, want 12", len(b))
 			}
-			var e epc.EPC96
-			copy(e[:], b)
-			r.EPC = e
+			copy(r.EPC[:], b)
 		case ParamAntennaID:
 			if len(b) != 2 {
-				return r, fmt.Errorf("llrp: AntennaID of %d bytes", len(b))
+				return fmt.Errorf("llrp: AntennaID of %d bytes", len(b))
 			}
 			r.AntennaPort = int(binary.BigEndian.Uint16(b))
 		case ParamPeakRSSI:
 			if len(b) != 1 {
-				return r, fmt.Errorf("llrp: PeakRSSI of %d bytes", len(b))
+				return fmt.Errorf("llrp: PeakRSSI of %d bytes", len(b))
 			}
 			// Overwritten by the full-precision custom value if present.
 			r.RSSI = units.DBm(int8(b[0]))
 		case ParamChannelIndex:
 			if len(b) != 2 {
-				return r, fmt.Errorf("llrp: ChannelIndex of %d bytes", len(b))
+				return fmt.Errorf("llrp: ChannelIndex of %d bytes", len(b))
 			}
 			r.ChannelIndex = int(binary.BigEndian.Uint16(b))
 		case ParamFirstSeenUTC:
 			if len(b) != 8 {
-				return r, fmt.Errorf("llrp: FirstSeenTimestampUTC of %d bytes", len(b))
+				return fmt.Errorf("llrp: FirstSeenTimestampUTC of %d bytes", len(b))
 			}
 			r.Timestamp = time.Duration(binary.BigEndian.Uint64(b)) * time.Microsecond
 		case ParamCustom:
-			if err := decodeCustom(b, &r); err != nil {
-				return r, err
+			if err := decodeCustom(b, r); err != nil {
+				return err
 			}
 		}
 	}
