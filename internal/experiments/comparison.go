@@ -7,6 +7,7 @@ import (
 	"tagbreathe/internal/body"
 	"tagbreathe/internal/core"
 	"tagbreathe/internal/multimodal"
+	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
 )
 
@@ -173,15 +174,19 @@ func FusionAblation(o Options) ([]AblationPoint, error) {
 }
 
 // FilterAblation compares the FFT band-pass extraction against the
-// FIR alternative §IV-B mentions, on default scenarios.
+// FIR alternative §IV-B mentions, on default scenarios, and adds the
+// streaming monitor's causal FIR chain: its estimate is the last rate
+// update a streaming Monitor emits over the scenario.
 func FilterAblation(o Options) ([]AblationPoint, error) {
 	o = o.withDefaults()
 	variants := []struct {
-		name string
-		cfg  core.Config
+		name   string
+		cfg    core.Config
+		stream bool
 	}{
 		{name: "fft-filter", cfg: core.Config{}},
 		{name: "fir-filter", cfg: core.Config{Filter: core.FilterFIRBatch}},
+		{name: "stream-filter", cfg: core.Config{Filter: core.FilterFIRStreaming}, stream: true},
 	}
 	out := make([]AblationPoint, len(variants))
 	for i, v := range variants {
@@ -198,14 +203,19 @@ func FilterAblation(o Options) ([]AblationPoint, error) {
 			}
 			trials++
 			uid := res.UserIDs[0]
-			est, err := core.EstimateUser(res.Reports, uid, v.cfg)
-			if err != nil {
+			bpm, ok := 0.0, false
+			if v.stream {
+				bpm, ok = lastStreamingRate(res.Reports, uid, v.cfg)
+			} else if est, err := core.EstimateUser(res.Reports, uid, v.cfg); err == nil {
+				bpm, ok = est.RateBPM, true
+			}
+			if !ok {
 				continue
 			}
 			hit++
 			truth := res.TrueRateBPM[uid]
-			sum += core.Accuracy(est.RateBPM, truth)
-			d := est.RateBPM - truth
+			sum += core.Accuracy(bpm, truth)
+			d := bpm - truth
 			if d < 0 {
 				d = -d
 			}
@@ -221,4 +231,16 @@ func FilterAblation(o Options) ([]AblationPoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// lastStreamingRate replays a scenario through a streaming Monitor and
+// returns the last rate it emitted for uid, or false when it emitted
+// none.
+func lastStreamingRate(reports []reader.TagReport, uid uint64, cfg core.Config) (float64, bool) {
+	cfg.Users = []uint64{uid}
+	ups, err := core.MonitorStream(reports, core.MonitorConfig{Pipeline: cfg})
+	if err != nil || len(ups) == 0 {
+		return 0, false
+	}
+	return ups[len(ups)-1].RateBPM, true
 }

@@ -283,12 +283,12 @@ func TestFilterAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(points) != 3 || points[2].Estimator != "stream-filter" {
+		t.Fatalf("points = %+v, want the FFT, batch FIR and streaming rows", points)
 	}
 	for _, p := range points {
 		if p.Accuracy < 0.9 || p.Detected < 0.99 {
-			t.Errorf("%s: acc %v det %v — both filters should work (§IV-B)", p.Estimator, p.Accuracy, p.Detected)
+			t.Errorf("%s: acc %v det %v — every filter should work (§IV-B)", p.Estimator, p.Accuracy, p.Detected)
 		}
 	}
 }
