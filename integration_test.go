@@ -85,8 +85,8 @@ func TestMappingTableDeployment(t *testing.T) {
 }
 
 // TestLLRPFullSystem is the distributed deployment in miniature: the
-// reader emulator behind an LLRP TCP server, a client driving the
-// ROSpec lifecycle, the stream decoded off the wire, and the pipeline
+// reader emulator behind an LLRP TCP server, a managed session driving
+// the ROSpec lifecycle, the stream decoded off the wire, and the pipeline
 // estimating from it — with the result matching a local (in-process)
 // run of the identical scenario.
 func TestLLRPFullSystem(t *testing.T) {
@@ -133,27 +133,22 @@ func TestLLRPFullSystem(t *testing.T) {
 		<-done
 	}()
 
-	client, err := tagbreathe.DialLLRP(ln.Addr().String())
+	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
+		Addr:        ln.Addr().String(),
+		ROSpec:      tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
+		MaxAttempts: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	if err := client.AddROSpec(tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.EnableROSpec(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.StartROSpec(1); err != nil {
-		t.Fatal(err)
-	}
+	defer sess.Close()
 
 	var wire []tagbreathe.TagReport
 	idle := time.NewTimer(3 * time.Second)
 collect:
 	for {
 		select {
-		case r, ok := <-client.Reports():
+		case r, ok := <-sess.Reports():
 			if !ok {
 				break collect
 			}
@@ -167,6 +162,11 @@ collect:
 		case <-time.After(60 * time.Second):
 			t.Fatal("wire collection timed out")
 		}
+	}
+	// A reconnect would replay the scenario from its start into the
+	// same stream.
+	if n := sess.Reconnects(); n > 0 {
+		t.Fatalf("session reconnected %d times", n)
 	}
 	if len(wire) < len(local.Reports)*9/10 {
 		t.Fatalf("wire delivered %d of %d reports", len(wire), len(local.Reports))

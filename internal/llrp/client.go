@@ -18,7 +18,8 @@ import (
 
 // Client is the host side of an LLRP connection (the role the paper's
 // LLRP Toolkit plays): it configures the reader, drives the ROSpec
-// lifecycle, answers keepalives, and surfaces the tag report stream.
+// lifecycle, answers keepalives, and hands each decoded tag report to
+// its delivery hook. A Session builds and owns every Client.
 type Client struct {
 	conn net.Conn
 	// in buffers the connection's inbound bytes. frame and batch are
@@ -46,60 +47,20 @@ type Client struct {
 	err     error
 	closed  bool
 
-	// reports buffers a raw client's decoded reports; nil when deliver
-	// is set.
-	reports chan reader.TagReport
-	// deliver, when set, receives each decoded report on the read loop
-	// goroutine in place of the reports channel; false ends the loop.
-	// A Session sets it so reports reach the session's stable channel
-	// (or its delivery hook) without a hand-off of their own.
+	// deliver receives each decoded report on the read loop goroutine;
+	// false ends the loop. The Session sets it (it is required), so
+	// reports reach the session's stable channel or its delivery hook
+	// without a hand-off of their own.
 	deliver func(r reader.TagReport) bool
 	// done closes when the read loop has exited.
 	done chan struct{}
 }
 
-// Dial connects to an LLRP endpoint and waits for the reader's
-// connection-accepted event notification.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialWithMetrics(addr, timeout, nil)
-}
-
-// DialWithMetrics is Dial with protocol instrumentation attached (see
-// NewClientMetrics). A nil metrics value builds private, unexposed
-// instruments.
-func DialWithMetrics(addr string, timeout time.Duration, m *ClientMetrics) (*Client, error) {
-	//tagbreathe:allow ctxflow timeout-only convenience constructor; context-threading callers use DialContext/DialContextTraced
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return DialContextWithMetrics(ctx, addr, m)
-}
-
-// DialContext is Dial with cancelable connection setup: both the TCP
-// dial and the reader's greeting handshake abort when ctx ends. The
-// returned client's lifetime is independent of ctx — cancel after
-// setup does not tear the connection down; use Close for that.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	return DialContextWithMetrics(ctx, addr, nil)
-}
-
-// DialContextWithMetrics is DialContext with protocol instrumentation.
-func DialContextWithMetrics(ctx context.Context, addr string, m *ClientMetrics) (*Client, error) {
-	return DialContextTraced(ctx, addr, m, nil)
-}
-
-// DialContextTraced is DialContextWithMetrics with pipeline tracing:
-// the client stamps obs.StageRead on sampled reports as they are
-// decoded. A nil tracer traces nothing.
-func DialContextTraced(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
-	return dialClient(ctx, addr, m, tr, nil)
-}
-
-// dialClient is DialContextTraced with an optional delivery sink (see
-// Client.deliver).
+// dialClient connects to an LLRP endpoint and waits for the reader's
+// connection-accepted event notification. Both the TCP dial and the
+// greeting handshake abort when ctx ends; the client's lifetime is
+// independent of ctx, and Close tears it down. A nil m builds private
+// instruments; a nil tr traces nothing; deliver is Client.deliver.
 func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -118,22 +79,8 @@ func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Trac
 	return c, err
 }
 
-// NewClient wraps an established connection (useful for tests with
-// net.Pipe) and performs the connection handshake.
-func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientWithMetrics(conn, nil)
-}
-
-// NewClientWithMetrics is NewClient with protocol instrumentation.
-func NewClientWithMetrics(conn net.Conn, m *ClientMetrics) (*Client, error) {
-	return NewClientTraced(conn, m, nil)
-}
-
-// NewClientTraced is NewClientWithMetrics with pipeline tracing.
-func NewClientTraced(conn net.Conn, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
-	return newClient(conn, m, tr, nil)
-}
-
+// newClient performs the connection handshake on an established
+// connection and starts the read loop (arguments as for dialClient).
 func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
 	if m == nil {
 		m = NewClientMetrics(nil)
@@ -147,9 +94,6 @@ func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func(rea
 		pending: make(map[uint32]chan Message),
 		deliver: deliver,
 		done:    make(chan struct{}),
-	}
-	if deliver == nil {
-		c.reports = make(chan reader.TagReport, 1024)
 	}
 	// The reader speaks first: a ReaderEventNotification announcing
 	// the connection attempt result.
@@ -173,13 +117,6 @@ func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func(rea
 // wedged; Session's watchdog uses this to declare it dead.
 func (c *Client) LastActivity() time.Time {
 	return time.Unix(0, c.lastActivity.Load())
-}
-
-// Reports returns the stream of decoded tag reports. The channel is
-// closed when the connection ends. It is nil for the clients a Session
-// dials, which deliver each report on the read goroutine instead.
-func (c *Client) Reports() <-chan reader.TagReport {
-	return c.reports
 }
 
 // Err reports why the read loop ended (nil while healthy or after a
@@ -324,7 +261,7 @@ func (c *Client) EnableROSpec(id uint32) error {
 }
 
 // StartROSpec starts a registered, enabled ROSpec; tag reports begin
-// arriving on Reports.
+// arriving at the delivery hook.
 func (c *Client) StartROSpec(id uint32) error {
 	return c.requestStatus(MsgStartROSpec, EncodeROSpecID(id), defaultRequestTimeout)
 }
@@ -344,7 +281,7 @@ func (c *Client) DeleteROSpec(id uint32) error {
 var errDeliveryStopped = fmt.Errorf("llrp: report delivery stopped: %w", net.ErrClosed)
 
 // readLoop runs the connection's inbound side until it ends, then
-// records why, releases request waiters, and closes Reports.
+// records why and releases request waiters.
 func (c *Client) readLoop() {
 	defer close(c.done)
 	err := c.dispatch()
@@ -355,9 +292,6 @@ func (c *Client) readLoop() {
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	if c.reports != nil {
-		close(c.reports)
-	}
 }
 
 // inboundBuffer sizes the read loop's bufio.Reader: a 32-report
@@ -376,7 +310,7 @@ func (c *Client) dispatch() error {
 }
 
 // readFrame reads one inbound message and routes it: responses to
-// waiters, tag reports to Reports or the delivery sink, keepalives to
+// waiters, tag reports to the delivery hook, keepalives to
 // automatic acks. A report frame is read into the reused frame buffer
 // and decoded onto the reused batch, so it allocates nothing once the
 // buffers have grown to the frame size.
@@ -402,9 +336,7 @@ func (c *Client) readFrame() error {
 			// decoded report exists, so downstream stages inherit the
 			// reader-side origin instead of re-stamping on ingest.
 			c.batch[i].TraceID = c.tracer.Begin(obs.StageRead)
-			if c.deliver == nil {
-				c.reports <- c.batch[i]
-			} else if !c.deliver(c.batch[i]) {
+			if !c.deliver(c.batch[i]) {
 				return errDeliveryStopped
 			}
 		}

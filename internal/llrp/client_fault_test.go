@@ -1,23 +1,62 @@
 package llrp
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"tagbreathe/internal/reader"
 )
 
-// TestClientCloseConcurrent hammers Close from many goroutines: every
-// call must return (no deadlock on the read loop) and the client must
-// still report a clean shutdown.
+// TestClientCloseConcurrent hammers Close from many goroutines while
+// reports stream: every call must return (no deadlock on the read
+// loop), the client must still report a clean shutdown, and the
+// delivery hook must never run once Close has returned.
 func TestClientCloseConcurrent(t *testing.T) {
-	addr := startServer(t, ServerConfig{})
-	c := dialTest(t, addr)
+	addr := startServer(t, ServerConfig{NewSource: func() ReportSource { return testSource(1 << 20) }})
+	var closed, late atomic.Bool
+	delivered := make(chan struct{}, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	c, err := dialClient(ctx, addr, nil, nil, func(reader.TagReport) bool {
+		if closed.Load() {
+			late.Store(true)
+		}
+		select {
+		case delivered <- struct{}{}:
+		default:
+		}
+		// A slow consumer keeps frames buffered behind the read loop
+		// when Close lands.
+		time.Sleep(100 * time.Microsecond)
+		return true
+	})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	if err := c.SetReaderConfig(); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.AddROSpec(ROSpecConfig{ROSpecID: 1, ReportEveryN: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableROSpec(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StartROSpec(1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-delivered: // reports are flowing
+	case <-time.After(10 * time.Second):
+		t.Fatal("no report delivered before Close")
 	}
 
 	var wg sync.WaitGroup
@@ -38,12 +77,14 @@ func TestClientCloseConcurrent(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent Close calls did not all return")
 	}
+	closed.Store(true)
 	if err := c.Err(); err != nil {
 		t.Fatalf("Err after clean concurrent close: %v", err)
 	}
-	// And the reports channel is closed.
-	if _, ok := <-c.Reports(); ok {
-		t.Fatal("report delivered after Close")
+	// Give a straggling read loop time to show itself.
+	time.Sleep(50 * time.Millisecond)
+	if late.Load() {
+		t.Fatal("report delivered after Close returned")
 	}
 }
 
@@ -74,15 +115,16 @@ func TestClientErrAfterMidFrameDisconnect(t *testing.T) {
 		_, _ = conn.Write(make([]byte, 10))
 	}()
 
-	c, err := Dial(ln.Addr().String(), 5*time.Second)
+	c, err := newTestClient(ln.Addr().String(), nil, nil)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 
-	// The read loop ends by closing Reports; the error is set by then.
+	// The read loop's end closes the test's report channel; the error
+	// is set by then.
 	select {
-	case _, ok := <-c.Reports():
+	case _, ok := <-c.reports:
 		if ok {
 			t.Fatal("decoded a report from a truncated frame")
 		}

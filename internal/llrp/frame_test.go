@@ -85,7 +85,7 @@ func TestClientResponseKeepsPayloadPastReports(t *testing.T) {
 		_ = WriteMessage(rdr, Message{Type: MsgROAccessReport, ID: req.ID + 2, Payload: reportBatch(4)})
 		_, _ = io.Copy(io.Discard, rdr) // take the client's farewell
 	}()
-	c, err := NewClient(host)
+	c, err := newTestClient("", host, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestClientResponseKeepsPayloadPastReports(t *testing.T) {
 	// read over the response's buffer.
 	for i := 0; i < 8; i++ {
 		select {
-		case <-c.Reports():
+		case <-c.reports:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("report %d never arrived", i)
 		}

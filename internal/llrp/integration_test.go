@@ -61,9 +61,48 @@ func startServer(t *testing.T, cfg ServerConfig) string {
 	return ln.Addr().String()
 }
 
-func dialTest(t *testing.T, addr string) *Client {
+// testClient is a Client whose delivery hook feeds reports, a
+// test-owned channel in the role a Session's stable channel plays. The
+// channel holds 1024 reports, parks the read loop while full, and
+// closes once the read loop has ended.
+type testClient struct {
+	*Client
+	reports <-chan reader.TagReport
+}
+
+// newTestClient builds a testClient over conn, or, when conn is nil,
+// by dialing addr with a 5 s setup bound. A nil m builds private
+// instruments.
+func newTestClient(addr string, conn net.Conn, m *ClientMetrics) (*testClient, error) {
+	ch := make(chan reader.TagReport, 1024)
+	deliver := func(r reader.TagReport) bool {
+		ch <- r
+		return true
+	}
+	var c *Client
+	var err error
+	if conn != nil {
+		c, err = newClient(conn, m, nil, deliver)
+	} else {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		c, err = dialClient(ctx, addr, m, nil, deliver)
+		cancel()
+	}
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		<-c.done
+		close(ch)
+	}()
+	return &testClient{Client: c, reports: ch}, nil
+}
+
+// dialTest dials addr as newTestClient does and closes the client when
+// the test ends.
+func dialTest(t *testing.T, addr string) *testClient {
 	t.Helper()
-	c, err := Dial(addr, 5*time.Second)
+	c, err := newTestClient(addr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +131,7 @@ func TestClientServerLifecycle(t *testing.T) {
 	timeout := time.After(10 * time.Second)
 	for len(got) < 100 {
 		select {
-		case r, ok := <-c.Reports():
+		case r, ok := <-c.reports:
 			if !ok {
 				t.Fatalf("reports closed early after %d (err: %v)", len(got), c.Err())
 			}
@@ -189,7 +228,7 @@ func TestAntennaFilteredROSpec(t *testing.T) {
 	timeout := time.After(5 * time.Second)
 	for got < 50 {
 		select {
-		case r, ok := <-c.Reports():
+		case r, ok := <-c.reports:
 			if !ok {
 				t.Fatalf("reports closed early (err %v)", c.Err())
 			}
@@ -240,7 +279,7 @@ func TestStopROSpecHaltsStream(t *testing.T) {
 	// Receive a few reports, then stop.
 	for i := 0; i < 5; i++ {
 		select {
-		case <-c.Reports():
+		case <-c.reports:
 		case <-time.After(5 * time.Second):
 			t.Fatal("no reports from endless source")
 		}
@@ -253,7 +292,7 @@ func TestStopROSpecHaltsStream(t *testing.T) {
 	quietFor := time.NewTimer(500 * time.Millisecond)
 	for {
 		select {
-		case _, ok := <-c.Reports():
+		case _, ok := <-c.reports:
 			if !ok {
 				return // connection wound down; also acceptable
 			}
@@ -275,7 +314,7 @@ func TestConcurrentClients(t *testing.T) {
 	errCh := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(id uint32) {
-			c, err := Dial(addr, 5*time.Second)
+			c, err := newTestClient(addr, nil, nil)
 			if err != nil {
 				errCh <- err
 				return
@@ -297,7 +336,7 @@ func TestConcurrentClients(t *testing.T) {
 			timeout := time.After(10 * time.Second)
 			for count < 100 {
 				select {
-				case _, ok := <-c.Reports():
+				case _, ok := <-c.reports:
 					if !ok {
 						errCh <- c.Err()
 						return
@@ -320,7 +359,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestClientCloseIsClean(t *testing.T) {
 	addr := startServer(t, ServerConfig{})
-	c, err := Dial(addr, 5*time.Second)
+	c, err := newTestClient(addr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

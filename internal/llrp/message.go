@@ -11,7 +11,8 @@
 // 10-byte header); parameter encoding uses the spec's TLV layout with
 // the standard parameter types where they exist and a custom parameter
 // for phase/Doppler, as real Impinj readers do. The package provides
-// both ends: a Server for the reader emulator and a Client for hosts.
+// both ends: a Server for the reader emulator and, for hosts, a Session
+// that owns each connection's Client.
 package llrp
 
 import (

@@ -18,7 +18,7 @@ func TestMetricsRoundtrip(t *testing.T) {
 	addr := startServer(t, ServerConfig{Metrics: sm})
 
 	cm := NewClientMetrics(reg)
-	c, err := DialWithMetrics(addr, 5*time.Second, cm)
+	c, err := newTestClient(addr, nil, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestMetricsRoundtrip(t *testing.T) {
 	timeout := time.After(10 * time.Second)
 	for got < 100 {
 		select {
-		case _, ok := <-c.Reports():
+		case _, ok := <-c.reports:
 			if !ok {
 				t.Fatalf("reports closed early after %d (err: %v)", got, c.Err())
 			}
@@ -116,7 +116,7 @@ func TestClientMetricsCountKeepalives(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr := startServer(t, ServerConfig{KeepaliveEvery: 50 * time.Millisecond})
 	cm := NewClientMetrics(reg)
-	c, err := DialWithMetrics(addr, 5*time.Second, cm)
+	c, err := newTestClient(addr, nil, cm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func TestClientRequestTimeout(t *testing.T) {
 			}
 		}
 	}()
-	c, err := Dial(ln.Addr().String(), 2*time.Second)
+	c, err := newTestClient(ln.Addr().String(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

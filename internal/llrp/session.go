@@ -234,10 +234,10 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// Reports returns the stable report stream. Unlike Client.Reports, the
-// channel survives reconnects; it closes only when the session ends
-// (Close, context cancellation, or MaxAttempts exhausted). It is nil
-// when SessionConfig.Deliver receives the reports instead.
+// Reports returns the stable report stream. The channel survives
+// reconnects; it closes only when the session ends (Close, context
+// cancellation, or MaxAttempts exhausted). It is nil when
+// SessionConfig.Deliver receives the reports instead.
 func (s *Session) Reports() <-chan reader.TagReport {
 	return s.reports
 }

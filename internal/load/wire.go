@@ -13,9 +13,9 @@ import (
 
 // RunWirePoint measures one capacity point over the LLRP wire path: a
 // loopback server streams the synthetic load through real framing and
-// a real TCP socket, a client decodes it, and the decoded stream
-// drives the monitor. It prices what in-process points skip — encode,
-// batch, socket, decode — so it stays honest at smaller K; the
+// a real TCP socket, a managed session decodes it, and the decoded
+// stream drives the monitor. It prices what in-process points skip —
+// encode, batch, socket, decode — so it stays honest at smaller K; the
 // in-process sweep owns the 10⁵-user territory.
 //
 // CPUSeconds covers server, client, and monitor together (one
@@ -90,39 +90,30 @@ func RunWirePoint(opts Options) (Point, error) {
 	pt := startPointRun(opts, total)
 	m := pt.m
 
-	// Traced dial: sampled reports are stamped at frame decode, so wire
-	// e2e latency includes the read→ingest hop the in-process path
-	// can't see.
-	//tagbreathe:allow ctxflow harness-local dial timeout; cancelDial fires immediately after the dial returns
-	dialCtx, cancelDial := context.WithTimeout(context.Background(), 10*time.Second)
-	c, err := llrp.DialContextTraced(dialCtx, ln.Addr().String(), nil, pt.tracer)
-	cancelDial()
+	// Traced session: sampled reports are stamped at frame decode, so
+	// wire e2e latency includes the read→ingest hop the in-process path
+	// can't see. One attempt only: a failed connect closes Reports.
+	cpu0 := processCPUSeconds()
+	start := time.Now()
+	//tagbreathe:allow ctxflow the point owns the session; the deferred Close ends it
+	sess, err := llrp.StartSession(context.Background(), llrp.SessionConfig{
+		Addr:        ln.Addr().String(),
+		ROSpec:      llrp.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
+		MaxAttempts: 1,
+		Tracer:      pt.tracer,
+	})
 	if err != nil {
 		m.Stop()
 		return Point{}, err
 	}
-	defer c.Close()
-
-	cpu0 := processCPUSeconds()
-	start := time.Now()
-	for _, step := range []func() error{
-		c.SetReaderConfig,
-		func() error { return c.AddROSpec(llrp.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64}) },
-		func() error { return c.EnableROSpec(1) },
-		func() error { return c.StartROSpec(1) },
-	} {
-		if err := step(); err != nil {
-			m.Stop()
-			return Point{}, fmt.Errorf("load: wire setup: %w", err)
-		}
-	}
+	defer sess.Close()
 
 	received := 0
 	deadline := time.After(5 * time.Minute)
 pump:
 	for received < total {
 		select {
-		case r, ok := <-c.Reports():
+		case r, ok := <-sess.Reports():
 			if !ok {
 				break pump
 			}
@@ -130,16 +121,21 @@ pump:
 			received++
 		case <-deadline:
 			m.Stop()
-			//tagbreathe:allow errwrap c.Err() is nil on a pure stall; the text is supplementary context, not the cause chain
-			return Point{}, fmt.Errorf("load: wire point stalled at %d/%d reports (client err: %v)",
-				received, total, c.Err())
+			//tagbreathe:allow errwrap sess.Err() is nil on a pure stall; the text is supplementary context, not the cause chain
+			return Point{}, fmt.Errorf("load: wire point stalled at %d/%d reports (session err: %v)",
+				received, total, sess.Err())
 		}
 	}
 	if received != total {
 		m.Stop()
-		//tagbreathe:allow errwrap c.Err() may be nil when the stream closes cleanly short; the text is supplementary context
-		return Point{}, fmt.Errorf("load: wire stream ended at %d/%d reports (client err: %v)",
-			received, total, c.Err())
+		//tagbreathe:allow errwrap sess.Err() may be nil when the session closes short; the text is supplementary context
+		return Point{}, fmt.Errorf("load: wire stream ended at %d/%d reports (session err: %v)",
+			received, total, sess.Err())
+	}
+	// A reconnect replays the load from its start into the same stream.
+	if n := sess.Reconnects(); n > 0 {
+		m.Stop()
+		return Point{}, fmt.Errorf("load: wire session reconnected %d times", n)
 	}
 	return pt.finish(start, cpu0)
 }

@@ -16,9 +16,10 @@
 //     multi-tag sensor fusion, band-limited breath extraction, and
 //     zero-crossing rate estimation, in batch (Estimate) and
 //     streaming (Monitor) forms.
-//   - An LLRP-style wire protocol with both reader (server) and host
-//     (client) ends, so the pipeline can run against a remote reader
-//     emulator exactly as the original system ran against its reader.
+//   - An LLRP-style wire protocol: a reader emulator (server) and a
+//     managed host session that dials, provisions and reconnects, so
+//     the pipeline can run against a remote reader exactly as the
+//     original system ran against its reader.
 //
 // # Quick start
 //
@@ -40,7 +41,6 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	"time"
 
 	"tagbreathe/internal/baseline"
 	"tagbreathe/internal/body"
@@ -175,8 +175,6 @@ const (
 
 // LLRP protocol types for remote-reader deployments.
 type (
-	// LLRPClient is the host end of an LLRP connection.
-	LLRPClient = llrp.Client
 	// ROSpecConfig selects antennas and report batching.
 	ROSpecConfig = llrp.ROSpecConfig
 	// LLRPSession is a managed reader connection: it dials, provisions
@@ -255,11 +253,6 @@ func SideBySide(n int, distance float64, ratesBPM ...float64) []UserSpec {
 // followed by a 32-bit tag ID.
 func NewUserTagEPC(userID uint64, tagID uint32) EPC96 {
 	return epc.NewUserTagEPC(userID, tagID)
-}
-
-// DialLLRP connects to an LLRP reader (or the llrpsim emulator).
-func DialLLRP(addr string) (*LLRPClient, error) {
-	return llrp.Dial(addr, 10*time.Second)
 }
 
 // StartLLRPSession starts a managed reader session: a supervision loop
@@ -415,17 +408,6 @@ func NewLLRPSessionMetrics(r *MetricsRegistry) *LLRPSessionMetrics {
 // returned server when done.
 func ServeDebug(addr string, r *MetricsRegistry) (*DebugServer, error) {
 	return obs.ServeDebug(addr, r)
-}
-
-// DialLLRPTraced is DialLLRP with protocol instrumentation and
-// pipeline tracing: the client stamps StageRead on sampled reports as
-// frames decode, so end-to-end traces price the read→ingest hop too.
-// A nil tracer traces nothing.
-func DialLLRPTraced(addr string, m *LLRPClientMetrics, tr *Tracer) (*LLRPClient, error) {
-	//tagbreathe:allow ctxflow facade convenience dial with a fixed timeout; context callers use llrp.DialContextTraced
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return llrp.DialContextTraced(ctx, addr, m, tr)
 }
 
 // RadarScenario simulates a CW Doppler radar over the same subjects,
