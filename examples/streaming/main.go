@@ -105,10 +105,10 @@ func main() {
 	// realtime monitor; updates print as the stream advances. The
 	// streaming filter mode keeps each analysis tick O(new samples):
 	// the incremental engine fuses reports into bins as they arrive
-	// and pushes only newly finalized bins through a causal FIR chain,
-	// instead of re-filtering the whole 25 s window every tick. The
-	// trade is the filter's group delay (~13 s at the breathing band),
-	// so the first updates reflect breaths from a moment ago — the
+	// and pushes only newly finalized bins through a causal filter
+	// chain, instead of re-filtering the whole 25 s window every tick.
+	// The trade is the filter's group delay (~2.9 s at the breathing
+	// band), so updates reflect breaths from a moment ago — the
 	// right trade for a long-lived ward deployment, where tick cost is
 	// paid per user forever. Omit Filter (or set FilterFFT) for the
 	// paper's recompute-every-tick reference behavior.

@@ -332,9 +332,10 @@ type Config struct {
 	// is the FIR alternative §IV-B mentions. Both recompute the
 	// window each tick. FilterFIRStreaming runs the causal streaming
 	// chain, making Monitor ticks O(new samples + taps) independent
-	// of window length at the price of the filter's group delay; it
-	// runs as FilterFIRBatch under MotionRejection, and ExtractBreath,
-	// which has no streaming form, runs FFT for it.
+	// of window length at the price of the low-pass's group delay
+	// (~2.9 s at the default band); it runs as FilterFIRBatch under
+	// MotionRejection, and ExtractBreath, which has no streaming form,
+	// runs FFT for it.
 	Filter FilterMode
 	// MotionRejection blanks fused bins whose magnitude marks
 	// non-respiratory body motion (postural shifts move the torso by

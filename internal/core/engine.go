@@ -22,7 +22,7 @@ import (
 //	               only touches the bins it lands in, O(spread) per add
 //	Eq. 7 acc    → a running sum per antenna with window-exit
 //	               correction (StreamBandPass.Rebase), O(1) per bin
-//	StreamBandPass → causal linear-phase FIR band-pass, O(taps) per bin
+//	StreamBandPass → causal FIR low-pass + IIR high-pass, O(taps) per bin
 //	CrossingTracker → incremental Eq. 5 crossing detection, O(1) per bin
 //
 // In FilterFIRStreaming mode a Monitor tick therefore costs
@@ -44,10 +44,11 @@ const (
 	// FilterFIRBatch recomputes the whole-window FIR band-pass
 	// (windowed-sinc low-pass + moving-average drift removal).
 	FilterFIRBatch
-	// FilterFIRStreaming runs the causal streaming FIR chain: per-tick
-	// cost is O(new bins · taps) regardless of window length, at the
-	// price of the filter's group delay (≈13 s at the default band) —
-	// rate updates describe breaths that happened one group delay ago.
+	// FilterFIRStreaming runs the causal streaming chain (FIR low-pass,
+	// IIR high-pass): per-tick cost is O(new bins · taps) regardless of
+	// window length, at the price of the low-pass's group delay (47
+	// bins, ≈2.9 s at the default band) — rate updates describe breaths
+	// that happened one group delay ago.
 	FilterFIRStreaming
 )
 
@@ -188,7 +189,12 @@ func (f *BinFuser) deposit(s DisplacementSample) {
 	if last < first {
 		last = first
 	}
+	if last-f.base >= len(f.ring) {
+		f.grow(last - f.base + 1)
+	}
+	ring, mask := f.ring, f.mask
 	span := hi - lo
+	top := -1
 	for i := first; i <= last; i++ {
 		bLo := f.origin + float64(i)*f.binSec
 		bHi := bLo + f.binSec
@@ -199,8 +205,12 @@ func (f *BinFuser) deposit(s DisplacementSample) {
 			bHi = hi
 		}
 		if bHi > bLo {
-			f.add(i, s.D*(bHi-bLo)/span)
+			ring[i&mask] += s.D * (bHi - bLo) / span
+			top = i
 		}
+	}
+	if top >= f.hi {
+		f.hi = top + 1
 	}
 }
 
@@ -393,9 +403,9 @@ type antennaState struct {
 	// before the first). restart is set when a report follows the
 	// previous one by more than MaxPhaseGap: every Eq. 3 stream of the
 	// vantage had expired, so the displacement trajectory starts over,
-	// and a filter output within one group delay of the restart mixes
-	// both sides of the gap. Crossings before restart are never
-	// combined with later ones.
+	// and a filter output within the filter's settle span of the
+	// restart (Engine.hold) mixes both sides of the gap. Crossings
+	// before restart are never combined with later ones.
 	lastRead, restart float64
 
 	// Per-tick selection stats; ResetTickStats clears them.
@@ -450,8 +460,11 @@ type Engine struct {
 	originSet bool
 	started   bool
 
-	// Streaming chain geometry (FilterFIRStreaming only).
-	delay, warm int
+	// Streaming chain geometry (FilterFIRStreaming only): the output
+	// delay, the start-of-stream warmup, and the restart hold-off — how
+	// long after a disturbance enters the chain its outputs still carry
+	// it: the low-pass's delay plus the high-pass's settle.
+	delay, warm, hold int
 
 	// window holds recomputeUpdate's copy of the window's bins (see
 	// EngineOptions.window); only that call reads or writes it.
@@ -469,14 +482,14 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		opts.Window = 25
 	}
 	binSec := cfg.BinInterval.Seconds()
-	var delay, warm int
+	var delay, warm, hold int
 	if cfg.Filter == FilterFIRStreaming {
 		if cfg.MotionRejection {
 			cfg.Filter = FilterFIRBatch
 		} else if bp, err := sigproc.NewStreamBandPass(1/binSec, cfg.LowCutHz, cfg.HighCutHz); err != nil {
 			cfg.Filter = FilterFFT
 		} else {
-			delay, warm = bp.Delay(), bp.Warmup()
+			delay, warm, hold = bp.Delay(), bp.Warmup(), bp.Delay()+bp.Settle()
 		}
 	}
 	e := &Engine{
@@ -493,6 +506,7 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		originSet: opts.OriginSet,
 		delay:     delay,
 		warm:      warm,
+		hold:      hold,
 		window:    opts.window,
 	}
 	if e.window == nil {
@@ -541,7 +555,7 @@ func (e *Engine) Feed(r reader.TagReport) {
 	}
 	a.latest = ts
 	if ts-a.lastRead > e.cfg.MaxPhaseGap {
-		a.restart = ts + float64(e.delay)*e.binSec
+		a.restart = ts + float64(e.hold)*e.binSec
 	}
 	a.lastRead = ts
 	if d, ok := e.df.difference(e.streamOf(a, &r), &r, ts); ok {
@@ -700,10 +714,9 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 		// so steady state allocates nothing. Crossings carry the
 		// filter's output time, one group delay behind asOf, so the
 		// window they fill ends there too: cutting at asOf − window
-		// would leave the chain a window shorter by the delay (≈12 s
-		// of 25 at the default band), too short for 3 crossings at
-		// the slowest rates. A vantage whose reads restarted after a
-		// gap cuts later still (antennaState.restart).
+		// would leave the chain a window shorter by the delay. A
+		// vantage whose reads restarted after a gap cuts later still
+		// (antennaState.restart).
 		t0 := max(asOf-e.windowSec-float64(e.delay)*e.binSec, e.origin)
 		for _, a := range e.ants {
 			cut := max(t0, a.restart)
@@ -940,7 +953,7 @@ type EngineLag struct {
 	HeldAge float64
 	// FilterFill is the smallest warmup fill fraction (0..1) across
 	// the streaming filter chains — below 1 the engine is still inside
-	// the FIR group delay and suppresses estimates. 1 outside
+	// the filter's warmup and suppresses estimates. 1 outside
 	// streaming mode, which has no warmup.
 	FilterFill float64
 }

@@ -405,7 +405,7 @@ func TestTickReadRateSingleRead(t *testing.T) {
 
 // TestBinFuserMatchesBatchFusion drives random in-order displacement
 // streams through a BinFuser with interleaved settles and compares the
-// flush against the batch fuser, both modes.
+// flush against the batch fuser, both modes, bit for bit.
 func TestBinFuserMatchesBatchFusion(t *testing.T) {
 	for _, literal := range []bool{false, true} {
 		samples := make([]core.DisplacementSample, 0, 500)
@@ -436,8 +436,8 @@ func TestBinFuserMatchesBatchFusion(t *testing.T) {
 			t.Fatalf("literal=%v: %d bins, batch %d", literal, len(got), len(want))
 		}
 		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("literal=%v bin %d: %.15g, batch %.15g", literal, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("literal=%v bin %d: %.17g, batch %.17g", literal, i, got[i], want[i])
 			}
 		}
 	}

@@ -68,7 +68,8 @@ type MonitorMetrics struct {
 	EngineHeldFloorAge *obs.GaugeVec
 	// EngineFilterWarmup is, per shard worker, the smallest warmup
 	// fill fraction (0..1) across the worker's streaming filter
-	// chains; 1 once every chain is past its group delay.
+	// chains; 1 once every chain is past its warmup (the low-pass's
+	// taps plus the high-pass's settle, 298 bins at the default band).
 	EngineFilterWarmup *obs.GaugeVec
 	// TickStretch is each shard worker's current tick-stretch factor
 	// (1 = full cadence): the live position of the degradation ladder,

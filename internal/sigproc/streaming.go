@@ -2,6 +2,7 @@ package sigproc
 
 import (
 	"fmt"
+	"math"
 
 	"tagbreathe/internal/fmath"
 )
@@ -24,7 +25,7 @@ import (
 type StreamFIR struct {
 	h    []float64
 	ring []float64 // last len(h) inputs; zero-initialized = zero padding
-	pos  int       // slot the next input will be written to
+	pos  int       // slot holding the newest input
 }
 
 // NewStreamFIR builds a streaming FIR from coefficients h (most callers
@@ -43,21 +44,25 @@ func (f *StreamFIR) Delay() int { return (len(f.h) - 1) / 2 }
 //
 //tagbreathe:hotpath O(taps) per sample, every sample of every stream
 func (f *StreamFIR) Push(x float64) float64 {
-	m := len(f.h)
-	f.ring[f.pos] = x
-	var acc float64
-	// ring[pos] holds x[n], ring[pos-1] holds x[n-1], …
-	k := f.pos
-	for j := 0; j < m; j++ {
-		acc += f.h[j] * f.ring[k]
-		k--
-		if k < 0 {
-			k = m - 1
-		}
+	// Each input lands one slot below the previous one, so ring[pos]
+	// holds x[n], ring[pos+1] holds x[n-1], … up to ring[m-1], and the
+	// older inputs continue from ring[0] to ring[pos-1]. The taps then
+	// read two ascending runs in h's order, with no per-tap wrap test
+	// or bounds check.
+	f.pos--
+	if f.pos < 0 {
+		f.pos = len(f.ring) - 1
 	}
-	f.pos++
-	if f.pos == m {
-		f.pos = 0
+	f.ring[f.pos] = x
+	newer, older := f.ring[f.pos:], f.ring[:f.pos]
+	hn, ho := f.h[:len(newer)], f.h[len(newer):]
+	ho = ho[:len(older)]
+	var acc float64
+	for j, v := range newer {
+		acc += hn[j] * v
+	}
+	for j, v := range older {
+		acc += ho[j] * v
 	}
 	return acc
 }
@@ -73,26 +78,41 @@ func (f *StreamFIR) Rebase(c float64) {
 	}
 }
 
-// StreamBandPass is the causal streaming equivalent of the batch FIR
-// band-pass used by ExtractBreath's FIR path: a windowed-sinc low-pass
-// at highHz followed by subtraction of a centered moving average of
-// width ≈ rate/lowHz (the drift-removal high-pass leg). Push returns,
-// for the n-th input sample, the band-passed value of input sample
-// n − Delay(); outputs are fully settled once Warmup() samples have
-// been pushed (before that the implicit zero padding still rings).
+// StreamBandPass is the causal streaming band-pass for §IV-B's
+// [lowHz, highHz] breathing band: the windowed-sinc low-pass at highHz
+// (a linear-phase StreamFIR) followed by a 2nd-order Butterworth
+// high-pass at lowHz that removes drift. The high-pass is an IIR
+// section (bilinear transform with a prewarped cutoff, direct form I);
+// its two zeros at DC reject offset and linear drift exactly once
+// settled.
+//
+// Push returns, for the n-th input sample, the band-passed value of
+// input sample n − Delay(): the low-pass's linear-phase delay. The
+// high-pass adds no delay to speak of but is not linear-phase; at a
+// frequency f it scales by |H(f)| and leads by ∠H(f), a lead that falls
+// from 90° at lowHz to 16° at 0.25 Hz (for lowHz = 0.05 Hz). Outputs are
+// settled once Warmup() samples have been pushed; before that the
+// implicit zero padding still rings.
 type StreamBandPass struct {
-	fir  *StreamFIR
-	win  []float64 // last w low-passed values
-	sum  float64   // running sum of win
-	w    int
-	half int
-	idx  int // samples pushed so far
+	fir *StreamFIR
+
+	// High-pass y[n] = g·Δ²x[n] − a1·y[n−1] − a2·y[n−2], with
+	// Δ²x[n] = (x[n] − x[n−1]) − (x[n−1] − x[n−2]): the numerator
+	// g·(1 − z⁻¹)² written as a second difference. The input taps are
+	// kept as the last input and the last first difference, so only x1
+	// carries the stream's level (see Rebase).
+	g, a1, a2 float64
+	x1, dx1   float64 // x[n−1] and x[n−1] − x[n−2]
+	y1, y2    float64 // y[n−1] and y[n−2]
+	settle    int
 }
 
 // NewStreamBandPass designs a streaming band-pass for the given sample
-// rate keeping [lowHz, highHz]. The low-pass leg uses 4·rate/highHz
-// taps and the drift leg a rate/lowHz-sample moving average, matching
-// the batch FIR path's design choices.
+// rate keeping [lowHz, highHz]. The low-pass leg is FIRLowPass with
+// 4·rate/highHz taps, the same low-pass the batch FIR path uses; the
+// drift leg is a 2nd-order Butterworth high-pass at lowHz where the
+// batch path subtracts a centered moving average, so the two FIR modes
+// no longer share a design.
 func NewStreamBandPass(rate, lowHz, highHz float64) (*StreamBandPass, error) {
 	if rate <= 0 || lowHz <= 0 || highHz <= lowHz {
 		return nil, fmt.Errorf("sigproc: invalid streaming band [%v, %v] Hz at rate %v", lowHz, highHz, rate)
@@ -106,56 +126,64 @@ func NewStreamBandPass(rate, lowHz, highHz float64) (*StreamBandPass, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := int(rate/lowHz) | 1
-	if w < 3 {
-		w = 3
-	}
+	// Bilinear transform of s²/(s² + √2·ωc·s + ωc²) with ωc prewarped
+	// so the −3 dB point lands on lowHz: K = tan(π·lowHz/rate).
+	// FIRLowPass has already checked highHz < rate/2, so 0 < K < 1.
+	k := math.Tan(math.Pi * lowHz / rate)
+	norm := 1 / (1 + math.Sqrt2*k + k*k)
+	a2 := (1 - math.Sqrt2*k + k*k) * norm
+	// The poles are a complex-conjugate pair of radius √a2: a transient
+	// decays by √a2 per sample, i.e. by e per τ = −1/ln√a2 samples
+	// (≈ 72 at 16 Hz and 0.05 Hz). The settle is 2√2·τ, the digital
+	// form of the analog prototype's 4/ωc (its poles' real part is
+	// ωc/√2), truncated to whole samples as the tap count is: the
+	// transient envelope is then down to e^(−2√2) ≈ 6 %.
+	tau := -1 / math.Log(math.Sqrt(a2))
 	return &StreamBandPass{
-		fir:  fir,
-		win:  make([]float64, w),
-		w:    w,
-		half: w / 2,
+		fir:    fir,
+		g:      norm,
+		a1:     2 * (k*k - 1) * norm,
+		a2:     a2,
+		settle: int(2 * math.Sqrt2 * tau),
 	}, nil
 }
 
-// Delay returns the total group delay in samples: the FIR's linear
-// phase delay plus half the moving-average width.
-func (f *StreamBandPass) Delay() int { return f.fir.Delay() + f.half }
+// Delay returns the group delay in samples that Push's output is
+// aligned to: the low-pass's linear-phase delay, (taps−1)/2.
+func (f *StreamBandPass) Delay() int { return f.fir.Delay() }
+
+// Settle returns how many samples the high-pass needs for a transient
+// to die down (see NewStreamBandPass): after a disturbance has passed
+// through the low-pass, outputs within Settle() samples still carry it.
+func (f *StreamBandPass) Settle() int { return f.settle }
 
 // Warmup returns how many samples must be pushed before outputs are
-// free of start-of-stream padding transients.
-func (f *StreamBandPass) Warmup() int { return len(f.fir.h) + f.w }
+// free of start-of-stream padding transients: the low-pass's taps plus
+// the high-pass's settle.
+func (f *StreamBandPass) Warmup() int { return len(f.fir.h) + f.settle }
 
 // Push consumes one input sample and returns the band-passed value of
-// the input Delay() samples ago (zero while that index is still before
-// the stream start).
+// the input Delay() samples ago.
 //
 //tagbreathe:hotpath runs once per fused bin on the streaming tick path
 func (f *StreamBandPass) Push(x float64) float64 {
 	lp := f.fir.Push(x)
-	slot := f.idx % f.w
-	f.sum += lp - f.win[slot]
-	f.win[slot] = lp
-	center := f.idx - f.half
-	f.idx++
-	if center < 0 {
-		return 0
-	}
-	// win still holds lp[center]: the ring spans the last w values and
-	// half < w.
-	return f.win[center%f.w] - f.sum/float64(f.w)
+	d := lp - f.x1
+	y := f.g*(d-f.dx1) - f.a1*f.y1 - f.a2*f.y2
+	f.x1, f.dx1 = lp, d
+	f.y1, f.y2 = y, f.y1
+	return y
 }
 
-// Rebase subtracts c from every retained sample of both stages, as if
-// the input stream had been c lower all along. Post-warmup outputs are
-// unchanged (the band-pass rejects DC), so the engine can keep its
+// Rebase subtracts c from every retained input sample, as if the input
+// stream had been c lower all along: the low-pass ring and the
+// high-pass's last input shift by c, and the rest of the high-pass
+// state (a difference and two outputs) does not carry the level.
+// Post-warmup outputs are unchanged, so the engine can keep its
 // running accumulator bounded on unbounded streams.
 func (f *StreamBandPass) Rebase(c float64) {
 	f.fir.Rebase(c)
-	for i := range f.win {
-		f.win[i] -= c
-	}
-	f.sum -= c * float64(f.w)
+	f.x1 -= c
 }
 
 // CrossingTracker is the incremental form of ZeroCrossings: push

@@ -2,6 +2,7 @@ package sigproc
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -59,34 +60,90 @@ func TestStreamFIRDelay(t *testing.T) {
 	}
 }
 
-// TestStreamBandPass: in-band sine passes at ~unity gain (delayed);
-// DC and drift are rejected.
+// TestStreamFIRPushMatchesWrapLoop: Push must return, bit for bit, what
+// a per-tap wrapping loop over the ring returns, at every ring position.
+func TestStreamFIRPushMatchesWrapLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 2, 3, 31, 95} {
+		h := make([]float64, m)
+		for j := range h {
+			h[j] = rng.NormFloat64()
+		}
+		f, err := NewStreamFIR(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := make([]float64, m)
+		pos := 0
+		wrapLoop := func(x float64) float64 {
+			ring[pos] = x
+			var acc float64
+			k := pos
+			for j := 0; j < m; j++ {
+				acc += h[j] * ring[k]
+				k--
+				if k < 0 {
+					k = m - 1
+				}
+			}
+			pos = (pos + 1) % m
+			return acc
+		}
+		for n := 0; n < 3*m+7; n++ {
+			x := rng.NormFloat64() * 100
+			got, want := f.Push(x), wrapLoop(x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d taps, sample %d: Push %.17g, wrap loop %.17g", m, n, got, want)
+			}
+		}
+	}
+}
+
+// TestStreamBandPass: on an offset + drift + tone input, the settled
+// output must follow the designed response at the tone — the
+// low-pass's linear phase (Delay()) and amplitude times the
+// Butterworth high-pass's |H| and ∠H — while DC and drift are
+// rejected. The response is computed here from the analog prototype
+// s²/(s² + √2·ωc·s + ωc²) under the bilinear map, not from the
+// filter's coefficients.
 func TestStreamBandPass(t *testing.T) {
-	rate := 16.0
-	bp, err := NewStreamBandPass(rate, 0.05, 0.67)
+	rate, lo, hi := 16.0, 0.05, 0.67
+	bp, err := NewStreamBandPass(rate, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := bp.Delay()
 	warm := bp.Warmup()
+	if d != 47 || warm > 300 {
+		t.Errorf("default band: Delay() = %d, Warmup() = %d; want 47 and at most 300", d, warm)
+	}
 	fc := 0.25 // breathing-band tone
+	w := 2 * math.Pi * fc / rate
+	// Low-pass: symmetric taps, so Σh·e^(−jwk) = A·e^(−jwd) with A real.
+	h, _ := FIRLowPass(int(4*rate/hi)|1, rate, hi)
+	var amp float64
+	for k, v := range h {
+		amp += v * math.Cos(w*float64(k-d))
+	}
+	warp := func(f float64) float64 { return 2 * rate * math.Tan(math.Pi*f/rate) }
+	s, wc := complex(0, warp(fc)), warp(lo)
+	hp := s * s / (s*s + complex(math.Sqrt2*wc, 0)*s + complex(wc*wc, 0))
+	gain, lead := amp*cmplx.Abs(hp), cmplx.Phase(hp)
 	n := warm + 1200
 	var worst float64
 	for i := 0; i < n; i++ {
-		x := 5 + 0.02*float64(i) + math.Sin(2*math.Pi*fc*float64(i)/rate)
+		x := 5 + 0.02*float64(i) + math.Sin(w*float64(i))
 		y := bp.Push(x)
 		if i < warm+d {
 			continue
 		}
-		want := math.Sin(2 * math.Pi * fc * float64(i-d) / rate)
+		want := gain * math.Sin(w*float64(i-d)+lead)
 		if e := math.Abs(y - want); e > worst {
 			worst = e
 		}
 	}
-	// The drift leg is a soft high-pass; a couple percent of residual
-	// slope leakage is expected, but the tone must dominate.
 	if worst > 0.1 {
-		t.Errorf("band-pass error %.4f on offset+drift+tone input", worst)
+		t.Errorf("band-pass error %.4f against the designed response (gain %.3f, lead %.1f°) on offset+drift+tone input", worst, gain, lead*180/math.Pi)
 	}
 }
 

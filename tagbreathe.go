@@ -101,10 +101,11 @@ const (
 	// FilterFIRBatch recomputes the window each tick through the
 	// linear-phase FIR band-pass.
 	FilterFIRBatch = core.FilterFIRBatch
-	// FilterFIRStreaming runs the causal streaming FIR chain: Monitor
-	// ticks cost O(new samples + taps) independent of the window, at
-	// the price of the filter's group delay (~13 s at the default
-	// band) before updates reflect the newest breaths.
+	// FilterFIRStreaming runs the causal streaming chain (FIR
+	// low-pass, IIR high-pass): Monitor ticks cost O(new samples +
+	// taps) independent of the window, at the price of the low-pass's
+	// group delay (~2.9 s at the default band) before updates reflect
+	// the newest breaths.
 	FilterFIRStreaming = core.FilterFIRStreaming
 )
 
