@@ -214,8 +214,9 @@ func feedPaced(m *Monitor, reports []reader.TagReport, perStreamSec time.Duratio
 // watermark rides the ladder's engage threshold so the pause bursts
 // shed only redundant-vantage reports while every primary report
 // fits in the recovered headroom.
-// (The window stays at the paper's 25 s: the streaming chain's group
-// delay needs ~26 s of stream before estimates flow at all.)
+// (The window stays at the paper's 25 s: the streaming chain's 298-bin
+// (18.6 s) warm-up ends before the first tick, at 25 s of stream, which
+// is the first update.)
 func overloadCfg() MonitorConfig {
 	return MonitorConfig{
 		Pipeline:     Config{Filter: FilterFIRStreaming},
@@ -367,7 +368,8 @@ func TestStretchEquivalenceWithinHalfBPM(t *testing.T) {
 		return out
 	}
 	full := run(0)
-	// Compare past the streaming chain's warmup (~26 s of stream).
+	// Compare past the streaming chain's 18.6 s warm-up and the first
+	// tick at 25 s of stream.
 	const warm = 35 * time.Second
 	for _, stretch := range []int{2, 4} {
 		stretched := run(stretch)

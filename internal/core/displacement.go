@@ -76,8 +76,9 @@ type phaseStream struct {
 // collect displacement samples per (user, tag, antenna).
 //
 // Streams live in a slice in first-seen order. index finds a stream's
-// slot by key; the stage engine looks each stream up there once and
-// then addresses it by slot (Engine.streamOf).
+// slot by key, for Ingest and for the streams the stage engine's slot
+// cache does not cover; a stream the cache covers is created by slot
+// (newStream) and never enters the index (Engine.streamOf).
 type Differencer struct {
 	cfg     Config
 	readers smallSet[string]
@@ -150,10 +151,16 @@ func (df *Differencer) stream(ri int32, r *reader.TagReport) int32 {
 	if s, ok := df.index[key]; ok {
 		return s
 	}
-	s := int32(len(df.streams))
-	df.streams = append(df.streams, phaseStream{reader: ri, tag: key.tag, antenna: key.antenna})
+	s := df.newStream(ri, key.tag, key.antenna)
 	df.index[key] = s
 	return s
+}
+
+// newStream appends a stream on interned reader ri and returns its
+// slot, without entering it in the index.
+func (df *Differencer) newStream(ri int32, tag uint32, antenna int) int32 {
+	df.streams = append(df.streams, phaseStream{reader: ri, tag: tag, antenna: antenna})
+	return int32(len(df.streams) - 1)
 }
 
 // difference applies Eq. 3 to report r, read at t seconds, on stream

@@ -47,8 +47,9 @@ const (
 	// FilterFIRStreaming runs the causal streaming chain (FIR low-pass,
 	// IIR high-pass): per-tick cost is O(new bins · taps) regardless of
 	// window length, at the price of the low-pass's group delay (47
-	// bins, ≈2.9 s at the default band) — rate updates describe breaths
-	// that happened one group delay ago.
+	// bins, ≈2.9 s at the default band) plus the wait for bin finality
+	// (≈2.1 s on the 10-channel hop plan) — rate updates describe
+	// breaths that happened ≈5 s ago.
 	FilterFIRStreaming
 )
 
@@ -84,21 +85,33 @@ type BinFuser struct {
 	pendMinTPrev float64
 }
 
+// minRingBins is the smallest ring a BinFuser keeps.
+const minRingBins = 16
+
+// ringBins is the ring size that holds need bins: the smallest power of
+// two at or above need, and at least minRingBins.
+func ringBins(need int) int {
+	n := minRingBins
+	for n < need {
+		n <<= 1
+	}
+	return n
+}
+
 // NewBinFuser builds a fuser on the grid {origin + i·binSec}. literal
 // selects the paper's verbatim Eq. 6 (whole sample into the ending
 // bin) over the default interval spreading. capacityBins sizes the
-// ring initially; it grows on demand.
+// ring initially. The ring follows the live span [Base(), Hi()): it
+// grows when a deposit lands past it, and EvictBefore shrinks it once
+// the span it held up to that eviction is a quarter of it or less.
 func NewBinFuser(binSec float64, literal bool, origin float64, capacityBins int) *BinFuser {
-	cap2 := 16
-	for cap2 < capacityBins {
-		cap2 <<= 1
-	}
+	n := ringBins(capacityBins)
 	return &BinFuser{
 		binSec:  binSec,
 		literal: literal,
 		origin:  origin,
-		ring:    make([]float64, cap2),
-		mask:    cap2 - 1,
+		ring:    make([]float64, n),
+		mask:    n - 1,
 		floor:   origin,
 	}
 }
@@ -190,7 +203,7 @@ func (f *BinFuser) deposit(s DisplacementSample) {
 		last = first
 	}
 	if last-f.base >= len(f.ring) {
-		f.grow(last - f.base + 1)
+		f.resize(last - f.base + 1)
 	}
 	ring, mask := f.ring, f.mask
 	span := hi - lo
@@ -225,7 +238,7 @@ func (f *BinFuser) clampLow(i int) int {
 // [base, i] no longer fits.
 func (f *BinFuser) add(i int, v float64) {
 	if i-f.base >= len(f.ring) {
-		f.grow(i - f.base + 1)
+		f.resize(i - f.base + 1)
 	}
 	f.ring[i&f.mask] += v
 	if i >= f.hi {
@@ -233,20 +246,20 @@ func (f *BinFuser) add(i int, v float64) {
 	}
 }
 
-// grow doubles the ring until it holds need bins.
+// resize moves the live bins [base, hi) into a ring of ringBins(need)
+// slots. A ring grows at least twofold and shrinks to twice the span
+// it held between two evictions (evictTo), so that span must double
+// or halve before the next resize.
 //
-//tagbreathe:allow hotpath amortized doubling; a ring sized for the window never grows in steady state
-func (f *BinFuser) grow(need int) {
-	cap2 := len(f.ring) * 2
-	for cap2 < need {
-		cap2 <<= 1
-	}
-	next := make([]float64, cap2)
+//tagbreathe:allow hotpath amortized: a ring resizes only when the span it holds between evictions doubles or falls to a quarter, never in steady state
+func (f *BinFuser) resize(need int) {
+	n := ringBins(need)
+	next := make([]float64, n)
 	for i := f.base; i < f.hi; i++ {
-		next[i&(cap2-1)] = f.ring[i&f.mask]
+		next[i&(n-1)] = f.ring[i&f.mask]
 	}
 	f.ring = next
-	f.mask = cap2 - 1
+	f.mask = n - 1
 }
 
 // ValueAt returns bin i's fused value (zero for evicted or untouched
@@ -262,11 +275,20 @@ func (f *BinFuser) ValueAt(i int) float64 {
 // containing cutoff, advancing the deposit floor. Samples reaching
 // into the evicted region are renormalized over their remaining
 // overlap, exactly as batch fusion renormalizes at its window start.
-func (f *BinFuser) EvictBefore(cutoff float64) {
-	newBase := f.binIndex(cutoff)
+// Bins at or after cutoff's keep their values bit for bit.
+func (f *BinFuser) EvictBefore(cutoff float64) { f.evictTo(f.binIndex(cutoff)) }
+
+// evictTo is EvictBefore by bin index: it releases bins below newBase.
+// It then shrinks the ring to twice the span held since the last
+// eviction, [base, hi) before this one, if that span is at most a
+// quarter of the ring. That span, not the smaller one left after
+// eviction, is what the ring must hold until the next eviction, so a
+// steady cadence of evictions never shrinks a ring it then regrows.
+func (f *BinFuser) evictTo(newBase int) {
 	if newBase <= f.base {
 		return
 	}
+	held := f.hi - f.base
 	top := newBase
 	if top > f.hi {
 		top = f.hi
@@ -279,6 +301,9 @@ func (f *BinFuser) EvictBefore(cutoff float64) {
 		f.hi = f.base
 	}
 	f.floor = f.origin + float64(f.base)*f.binSec
+	if len(f.ring) > minRingBins && 4*held <= len(f.ring) {
+		f.resize(2 * held)
+	}
 }
 
 // WindowBins appends bins [iLo, iHi) to dst and returns it — the
@@ -363,6 +388,12 @@ type EngineOptions struct {
 	// (they tick one at a time on its goroutine). Nil gives the engine
 	// its own.
 	window *[]float64
+	// bandPass, when set, is the streaming chain's band-pass as
+	// streamBandPass designed it for the same Config, shared by every
+	// engine of a Monitor: each vantage takes fresh filter state from it
+	// and shares its read-only taps. Nil makes the engine design its
+	// own.
+	bandPass *sigproc.StreamBandPass
 }
 
 // vantage identifies one (reader, antenna) observation point — the
@@ -465,6 +496,9 @@ type Engine struct {
 	// long after a disturbance enters the chain its outputs still carry
 	// it: the low-pass's delay plus the high-pass's settle.
 	delay, warm, hold int
+	// bp is the band-pass design every vantage's chain copies its
+	// fresh state from (FilterFIRStreaming only).
+	bp *sigproc.StreamBandPass
 
 	// window holds recomputeUpdate's copy of the window's bins (see
 	// EngineOptions.window); only that call reads or writes it.
@@ -482,11 +516,15 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		opts.Window = 25
 	}
 	binSec := cfg.BinInterval.Seconds()
+	bp := opts.bandPass
+	if bp == nil {
+		bp = streamBandPass(cfg)
+	}
 	var delay, warm, hold int
 	if cfg.Filter == FilterFIRStreaming {
 		if cfg.MotionRejection {
 			cfg.Filter = FilterFIRBatch
-		} else if bp, err := sigproc.NewStreamBandPass(1/binSec, cfg.LowCutHz, cfg.HighCutHz); err != nil {
+		} else if bp == nil {
 			cfg.Filter = FilterFFT
 		} else {
 			delay, warm, hold = bp.Delay(), bp.Warmup(), bp.Delay()+bp.Settle()
@@ -507,6 +545,7 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 		delay:     delay,
 		warm:      warm,
 		hold:      hold,
+		bp:        bp,
 		window:    opts.window,
 	}
 	if e.window == nil {
@@ -514,6 +553,21 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	}
 	e.windowBins = int(e.windowSec / binSec)
 	return e
+}
+
+// streamBandPass designs the streaming chain's band-pass for cfg, or
+// returns nil when cfg does not run the streaming chain: another
+// filter, MotionRejection, or a band the designer rejects.
+func streamBandPass(cfg Config) *sigproc.StreamBandPass {
+	cfg.fillDefaults()
+	if cfg.Filter != FilterFIRStreaming || cfg.MotionRejection {
+		return nil
+	}
+	bp, err := sigproc.NewStreamBandPass(1/cfg.BinInterval.Seconds(), cfg.LowCutHz, cfg.HighCutHz)
+	if err != nil {
+		return nil
+	}
+	return bp
 }
 
 // The slot cache: how many tags per vantage, and which channel
@@ -576,15 +630,20 @@ func (e *Engine) vantageOf(r *reader.TagReport) *antennaState {
 //
 //tagbreathe:allow hotpath construction runs once per vantage at first sight
 func (e *Engine) addVantage(v vantage) *antennaState {
+	// The recompute modes read the window's bins back each tick; the
+	// streaming chain reads each bin once, so its ring starts small.
+	ringSize := e.windowBins + 16
+	if e.cfg.Filter == FilterFIRStreaming {
+		ringSize = 0
+	}
 	a := &antennaState{
 		v:        v,
 		ri:       e.df.reader(v.reader),
-		fuser:    NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, e.windowBins+16),
+		fuser:    NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, ringSize),
 		lastRead: math.Inf(1),
 	}
 	if e.cfg.Filter == FilterFIRStreaming {
-		// NewEngine already designed this band, so the error is nil.
-		a.bp, _ = sigproc.NewStreamBandPass(1/e.binSec, e.cfg.LowCutHz, e.cfg.HighCutHz)
+		a.bp = e.bp.Fresh()
 		a.tracker = sigproc.NewCrossingTracker(e.cfg.MinCrossingGap)
 		// Size the crossing buffer once for a full window at the band
 		// edge (two crossings per cycle), so ticks never grow it.
@@ -601,8 +660,10 @@ func (e *Engine) addVantage(v vantage) *antennaState {
 
 // streamOf returns the Differencer slot of r's stream on vantage a. A
 // cached tag on a cached channel finds it by scan and index, without
-// hashing; the first report of a cached stream, and every report
-// outside the cache, goes through the Differencer's index.
+// hashing, and its first report creates it by slot; every report
+// outside the cache goes through the Differencer's index. A tag stays
+// cached, or uncached, for the vantage's life, so each stream lives in
+// exactly one of the two.
 func (e *Engine) streamOf(a *antennaState, r *reader.TagReport) int32 {
 	user, tag, ch := r.EPC.UserID(), r.EPC.TagID(), e.df.channel(r)
 	for i := range a.tags {
@@ -622,16 +683,19 @@ func (e *Engine) streamOf(a *antennaState, r *reader.TagReport) int32 {
 	return e.df.stream(a.ri, r)
 }
 
-// cacheStream looks r's stream up in the Differencer's index and, when
-// its channel is a cached one, remembers the slot in t.
+// cacheStream returns the slot of r's stream on cached tag t the
+// first time t reports on channel ch. A cached channel's stream is
+// created by slot and remembered in t; any other channel's goes through
+// the Differencer's index.
 func (e *Engine) cacheStream(t *tagSlot, ri int32, r *reader.TagReport, ch int) int32 {
-	s := e.df.stream(ri, r)
-	if ch >= 0 && ch < cachedChannels {
-		for len(t.chans) <= ch {
-			t.chans = append(t.chans, -1)
-		}
-		t.chans[ch] = s
+	if ch < 0 || ch >= cachedChannels {
+		return e.df.stream(ri, r)
 	}
+	for len(t.chans) <= ch {
+		t.chans = append(t.chans, -1)
+	}
+	s := e.df.newStream(ri, t.tag, r.AntennaPort)
+	t.chans[ch] = s
 	return s
 }
 
@@ -912,24 +976,27 @@ func (e *Engine) ResetTickStats() {
 	}
 }
 
-// EvictBefore releases all fused bins that slid out of the window. In
-// streaming mode the per-antenna Eq. 7 accumulator is folded into the
-// filter state (StreamBandPass.Rebase) so it stays bounded on
+// EvictBefore releases fused bins no tick will read again: in the
+// recompute modes the bins before cutoff, which slid out of the
+// window; in streaming mode, whatever cutoff is, every bin the chain
+// has consumed but the last. No future sample can deposit below the
+// chain's cursor, since every open stream's last read and every held
+// sample's accrual start lie at or after the finality limit the cursor
+// was cut at (advanceChains); the last bin guards the deposit floor
+// against rounding. Streaming mode also folds the Eq. 7 accumulator
+// into the filter state (StreamBandPass.Rebase) so it stays bounded on
 // unbounded streams without injecting a step transient.
 func (e *Engine) EvictBefore(cutoff float64) {
 	if !e.started {
 		return
 	}
 	for _, a := range e.ants {
-		c := cutoff
-		if e.cfg.Filter == FilterFIRStreaming {
-			// Never evict a bin the chain hasn't consumed.
-			if t := e.origin + float64(a.next)*e.binSec; t < c {
-				c = t
-			}
+		if e.cfg.Filter != FilterFIRStreaming {
+			a.fuser.EvictBefore(cutoff)
+			continue
 		}
-		a.fuser.EvictBefore(c)
-		if e.cfg.Filter == FilterFIRStreaming && a.bp != nil && a.next >= e.warm {
+		a.fuser.evictTo(a.next - 1)
+		if a.next >= e.warm {
 			a.bp.Rebase(a.acc)
 			a.acc = 0
 		}

@@ -446,12 +446,19 @@ func TestBinFuserMatchesBatchFusion(t *testing.T) {
 // FuzzBinFuser feeds adversarial displacement streams — out-of-order
 // times, duplicate timestamps, inverted accrual intervals — through a
 // BinFuser with interleaved settles and evictions. The fuser must not
-// panic and must flush finite bins.
+// panic and must flush finite bins, and an eviction must leave every
+// bin from the cutoff's on bit for bit as it was, while the ring grows
+// and shrinks around the live span.
 func FuzzBinFuser(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, false)
 	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3}, true)
+	// Samples 250 s in grow the ring to 4096 bins once they settle;
+	// evicting all but the last 2 s, and then 1 s more, shrinks it.
+	f.Add([]byte{0, 250, 16, 8, 0, 0, 8, 250, 0, 3, 1, 0, 8, 250, 0, 3, 2, 16, 8, 250, 0, 3, 2, 8}, false)
 	f.Fuzz(func(t *testing.T, data []byte, literal bool) {
-		fz := core.NewBinFuser(0.0625, literal, 0, 16)
+		const binSec = 0.0625
+		fz := core.NewBinFuser(binSec, literal, 0, 16)
+		var kept []float64
 		for len(data) >= 6 {
 			rec := data[:6]
 			data = data[6:]
@@ -465,7 +472,18 @@ func FuzzBinFuser(f *testing.F) {
 			case 1:
 				fz.SettleBefore(tt)
 			case 2:
-				fz.EvictBefore(tt - float64(rec[5])/8)
+				cutoff := tt - float64(rec[5])/8
+				lo := int(cutoff / binSec) // the fuser's bin of cutoff (origin 0)
+				kept = kept[:0]
+				for i := lo; i < fz.Hi(); i++ {
+					kept = append(kept, fz.ValueAt(i))
+				}
+				fz.EvictBefore(cutoff)
+				for j, v := range kept {
+					if g := fz.ValueAt(lo + j); math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("bin %d was %v before EvictBefore(%v), %v after", lo+j, v, cutoff, g)
+					}
+				}
 			}
 		}
 		bins := fz.Flush(0, 256)

@@ -9,6 +9,7 @@ import (
 
 	"tagbreathe/internal/obs"
 	"tagbreathe/internal/reader"
+	"tagbreathe/internal/sigproc"
 )
 
 // OverloadPolicy selects what the monitor's router does when a user
@@ -200,6 +201,10 @@ type Monitor struct {
 	updates chan RateUpdate
 	metrics *MonitorMetrics
 	tracer  *obs.Tracer
+	// bandPass is the streaming chain's band-pass, designed once for
+	// cfg.Pipeline (nil outside the streaming chain); every engine's
+	// vantages share its taps (EngineOptions.bandPass).
+	bandPass *sigproc.StreamBandPass
 
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -225,11 +230,12 @@ type Monitor struct {
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	cfg.fillDefaults()
 	m := &Monitor{
-		cfg:     cfg,
-		updates: make(chan RateUpdate, 64),
-		metrics: cfg.Metrics,
-		tracer:  cfg.Tracer,
-		primary: make(map[uint64]vantage),
+		cfg:      cfg,
+		updates:  make(chan RateUpdate, 64),
+		metrics:  cfg.Metrics,
+		tracer:   cfg.Tracer,
+		bandPass: streamBandPass(cfg.Pipeline),
+		primary:  make(map[uint64]vantage),
 	}
 	if cfg.StalenessSLO > 0 {
 		m.lastWall = make(map[uint64]int64)
@@ -593,6 +599,7 @@ func (m *Monitor) workerLoop(wi int, q *shardRing) {
 				UserID:        uid,
 				Metrics:       m.metrics,
 				window:        window,
+				bandPass:      m.bandPass,
 			})
 			for int(in.slot) >= len(engines) {
 				engines = append(engines, nil)

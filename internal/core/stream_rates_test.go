@@ -20,7 +20,7 @@ func TestStreamingMatchesFFTAcrossRates(t *testing.T) {
 		streamVsFFTBPM = 1.0
 		window         = 25.0
 		streamSec      = 120
-		steadySec      = 60 // past the window fill and the chain's ~26 s warm-up
+		steadySec      = 60 // past the window fill and the chain's 18.6 s warm-up
 	)
 	syn, err := sim.NewSynth(sim.SynthConfig{Users: 26, BaseRateBPM: 5, RateSpreadBPM: 26, JitterFrac: 0.3, Seed: 7})
 	if err != nil {

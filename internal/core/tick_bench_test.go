@@ -76,7 +76,7 @@ func benchEngineTick(b *testing.B, mode core.FilterMode, window time.Duration) {
 		// it so the 0 allocs/tick pin covers the observability layer.
 		eng.Lag(asOf)
 	}
-	warm := winSec + 30 // covers the streaming chain's ~26 s warmup
+	warm := winSec + 30 // covers the window fill and the streaming chain's 18.6 s warm-up
 	next := 1.0
 	for {
 		r := gen.next()

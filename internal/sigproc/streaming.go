@@ -148,6 +148,21 @@ func NewStreamBandPass(rate, lowHz, highHz float64) (*StreamBandPass, error) {
 	}, nil
 }
 
+// Fresh returns a band-pass of f's design with fresh state, as
+// NewStreamBandPass would build it for the same band. It shares f's
+// low-pass taps, which no band-pass writes, so one design can serve
+// any number of streams on any number of goroutines.
+func (f *StreamBandPass) Fresh() *StreamBandPass {
+	h := f.fir.h
+	return &StreamBandPass{
+		fir:    &StreamFIR{h: h, ring: make([]float64, len(h))},
+		g:      f.g,
+		a1:     f.a1,
+		a2:     f.a2,
+		settle: f.settle,
+	}
+}
+
 // Delay returns the group delay in samples that Push's output is
 // aligned to: the low-pass's linear-phase delay, (taps−1)/2.
 func (f *StreamBandPass) Delay() int { return f.fir.Delay() }

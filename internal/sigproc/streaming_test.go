@@ -147,6 +147,38 @@ func TestStreamBandPass(t *testing.T) {
 	}
 }
 
+// TestStreamBandPassFresh: a band-pass from Fresh must push exactly the
+// outputs of a newly designed one, whatever state the band-pass it
+// came from holds, and pushing it must leave that one untouched.
+func TestStreamBandPassFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tmpl, err := NewStreamBandPass(16, 0.05, 0.67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := NewStreamBandPass(16, 0.05, 0.67)
+	for i := 0; i < 500; i++ {
+		x := rng.NormFloat64()
+		tmpl.Push(x)
+		twin.Push(x)
+	}
+	want, _ := NewStreamBandPass(16, 0.05, 0.67)
+	fresh := tmpl.Fresh()
+	if fresh.Delay() != want.Delay() || fresh.Warmup() != want.Warmup() || fresh.Settle() != want.Settle() {
+		t.Fatalf("Fresh: delay/warmup/settle %d/%d/%d, designed %d/%d/%d",
+			fresh.Delay(), fresh.Warmup(), fresh.Settle(), want.Delay(), want.Warmup(), want.Settle())
+	}
+	for i := 0; i < 1000; i++ {
+		x := rng.NormFloat64() + 0.01*float64(i)
+		if g, w := fresh.Push(x), want.Push(x); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("push %d: Fresh gives %v, a new design %v", i, g, w)
+		}
+	}
+	if g, w := tmpl.Push(1), twin.Push(1); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("pushing the fresh band-pass moved the original: %v, want %v", g, w)
+	}
+}
+
 // TestStreamBandPassRebase: after warmup, Rebase must not change
 // subsequent outputs (beyond float rounding).
 func TestStreamBandPassRebase(t *testing.T) {
