@@ -13,9 +13,10 @@ import (
 // tick governor's closed loop, the acceptance scenario (overload that
 // used to shed primary-vantage reports now stretches cadence with
 // zero drops), stretch-equivalence of the estimates, and full
-// hysteresis recovery. The overload tests drive real monitors with a
-// deterministic artificial tick cost (MonitorConfig.testTickWork)
-// instead of machine-dependent load, so they pass identically on a
+// hysteresis recovery. The overload tests drive real monitors with an
+// artificial tick cost (MonitorConfig.testTickWork) instead of
+// machine-dependent load; the acceptance pair steps it in lockstep
+// with the producer (overloadStepper), so it passes identically on a
 // laptop and a loaded CI runner.
 
 func TestTickGovernorLadder(t *testing.T) {
@@ -175,8 +176,8 @@ func collectUpdates(m *Monitor) (get func() []RateUpdate, done chan struct{}) {
 }
 
 // feedPaced ingests reports in per-stream-second bursts with a fixed
-// wall pause between bursts: a deterministic replay pace, so the ratio
-// of pace to testTickWork fixes the overload factor exactly.
+// wall pause between bursts, so the ratio of pace to testTickWork sets
+// the overload factor.
 func feedPaced(m *Monitor, reports []reader.TagReport, perStreamSec time.Duration) {
 	if len(reports) == 0 {
 		return
@@ -193,27 +194,15 @@ func feedPaced(m *Monitor, reports []reader.TagReport, perStreamSec time.Duratio
 	}
 }
 
-// overloadCfg is the shared scenario for the acceptance pair below:
-// one worker, a 320-deep queue, drop-newest shedding, and 40 ms of
-// artificial work per analyzed tick.
-//
-// The monitor's tick pipeline (the depth-2 ticks channel between
-// demux and collector) backpressures ingest once ~3 ticks are in
-// flight, so a sustained deficit alone can never overflow the queue —
-// drops happen only when the inflow forwarded during a single
-// analyzed tick's pause exceeds the queue. The acceptance pair is
-// built on exactly that regime (the "queue overflow at small K" edge
-// PR 6's capacity model measured): the dual-vantage stream carries
-// 128 reports per stream second, the overload phase paces 1 stream
-// second per 11 ms of wall time, and each analyzed tick pauses the
-// worker for 40 ms — a ~3.6 stream-second burst of ~460 mixed reports
-// against a 320-deep queue. Without the ladder every tick delivery
-// pauses, the queue saturates, and drop-newest takes whatever arrives
-// at the full queue — primary vantage included. With the ladder the
-// worker stretches its cadence (pauses become rare), and the shed
-// watermark rides the ladder's engage threshold so the pause bursts
-// shed only redundant-vantage reports while every primary report
-// fits in the recovered headroom.
+// sleepTick is tick work of a fixed wall time.
+func sleepTick(d time.Duration) func(time.Duration) {
+	return func(time.Duration) { time.Sleep(d) }
+}
+
+// overloadCfg is the shared scenario for the overload tests below: one
+// worker, a 320-deep queue, drop-newest shedding, and 40 ms of
+// artificial work per analyzed tick, which the acceptance pair
+// replaces with a stepped hold (overloadStepper).
 // (The window stays at the paper's 25 s: the streaming chain's 298-bin
 // (18.6 s) warm-up ends before the first tick, at 25 s of stream, which
 // is the first update.)
@@ -225,31 +214,119 @@ func overloadCfg() MonitorConfig {
 		ShardWorkers: 1,
 		ShardQueue:   320,
 		Overload:     OverloadDropNewest,
-		testTickWork: 40 * time.Millisecond,
+		testTickWork: sleepTick(40 * time.Millisecond),
 	}
 }
 
 const (
-	// warmupUntil splits the acceptance stream: before it the pace is
-	// sustainable (selection warms up, the primary vantage is known);
-	// after it the pace overloads the worker ~3.6×.
+	// warmupUntil splits the acceptance stream: before it the worker
+	// keeps up (selection warms up, the primary vantage is known);
+	// from it on every analyzed tick holds the worker for overloadHold
+	// of stream.
 	warmupUntil  = 45 * time.Second
-	warmupPace   = 60 * time.Millisecond
-	overloadPace = 11 * time.Millisecond
+	overloadHold = 3 * time.Second
 )
 
-// feedOverloadPhases replays the acceptance stream: sustainable pace
-// until warmupUntil, then the overload pace to the end.
-func feedOverloadPhases(m *Monitor, reports []reader.TagReport) {
-	split := len(reports)
-	for i, r := range reports {
-		if r.Timestamp >= warmupUntil {
-			split = i
-			break
-		}
+// overloadStepper replays the acceptance stream in lockstep with the
+// worker, so the overload is a fixed sequence of steps rather than a
+// race between the producer's wall-clock pace and the worker's: the
+// queue depth every routing decision sees, and the occupancy the
+// router stamps on each tick for the governor, are the same on an idle
+// laptop and on a loaded CI runner under -race.
+//
+// The producer ingests the stream a stream second at a time (128
+// reports of the dual-vantage stream). Before each second it waits
+// until the worker has fed or shed everything ingested so far, unless
+// the worker is held. From warmupUntil on, each analyzed tick holds
+// the worker until the producer has ingested overloadHold more seconds
+// of stream: three seconds, ~383 reports, against a 320-deep queue,
+// queued behind a worker that takes none of them. Three seconds is as
+// far as a held tick can lead: the ticks channel between the router
+// and the collector holds two ticks, so a third broadcast would block
+// the producer on the held worker. Without the ladder every tick is
+// analyzed, so every second brings a hold; the shed watermark sits at
+// 280, and drop-newest takes whatever arrives at the full queue,
+// primary vantage included. With the ladder the worker stretches its
+// cadence, so holds become rare, and the shed watermark rides the
+// ladder's engage threshold (180): the redundant vantage's gate closes
+// there, and the held burst's primary reports fit in the headroom
+// above it.
+type overloadStepper struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	// fed is the stream time before which every report is ingested;
+	// holdTill is the fed time that releases the held tick (the worker
+	// is held while fed < holdTill); done releases every hold.
+	fed, holdTill time.Duration
+	done          bool
+}
+
+func newOverloadStepper() *overloadStepper {
+	s := &overloadStepper{}
+	s.cond.L = &s.mu
+	return s
+}
+
+// tickWork is the worker's testTickWork hook.
+func (s *overloadStepper) tickWork(asOf time.Duration) {
+	if asOf < warmupUntil {
+		return
 	}
-	feedPaced(m, reports[:split], warmupPace)
-	feedPaced(m, reports[split:], overloadPace)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.holdTill = asOf + overloadHold
+	for !s.done && s.fed < s.holdTill {
+		s.cond.Wait()
+	}
+}
+
+// feed ingests reports, then releases any hold for good.
+func (s *overloadStepper) feed(m *Monitor, reports []reader.TagReport) {
+	for i := 0; i < len(reports); {
+		end := reports[i].Timestamp.Truncate(time.Second) + time.Second
+		s.awaitWorker(m)
+		for ; i < len(reports) && reports[i].Timestamp < end; i++ {
+			m.Ingest(reports[i])
+		}
+		s.mu.Lock()
+		s.fed = end
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.done = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// awaitWorker returns once the worker is held, or has fed or shed
+// every report ingested so far.
+func (s *overloadStepper) awaitWorker(m *Monitor) {
+	for {
+		s.mu.Lock()
+		held := s.fed < s.holdTill
+		s.mu.Unlock()
+		st := m.Stats()
+		if held || st.Processed+st.Dropped == m.metrics.Ingested.Value() {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// runOverload replays the acceptance stream through a monitor built
+// from cfg with the stepped hold, and returns it drained, with its
+// updates.
+func runOverload(cfg MonitorConfig) (*Monitor, []RateUpdate) {
+	st := newOverloadStepper()
+	cfg.testTickWork = st.tickWork
+	m := NewMonitor(cfg)
+	get, done := collectUpdates(m)
+	st.feed(m, dualVantageStream(85))
+	m.CloseInput()
+	<-done
+	m.wg.Wait()
+	return m, get()
 }
 
 // TestOverloadBaselineShedsPrimary pins the pre-ladder behavior the
@@ -258,14 +335,8 @@ func feedOverloadPhases(m *Monitor, reports []reader.TagReport) {
 // demux sheds primary-vantage reports — the data the estimate is
 // computed from.
 func TestOverloadBaselineShedsPrimary(t *testing.T) {
-	m := NewMonitor(overloadCfg())
-	get, done := collectUpdates(m)
-	feedOverloadPhases(m, dualVantageStream(85))
-	m.CloseInput()
-	<-done
-	m.wg.Wait()
-
-	if n := len(get()); n == 0 {
+	m, ups := runOverload(overloadCfg())
+	if n := len(ups); n == 0 {
 		t.Fatal("no updates emitted")
 	}
 	st := m.Stats()
@@ -292,12 +363,7 @@ func TestOverloadBaselineShedsPrimary(t *testing.T) {
 func TestOverloadControllerStretchesInsteadOfShedding(t *testing.T) {
 	cfg := overloadCfg()
 	cfg.Degrade = DegradeConfig{MaxStretch: 8, EngageFraction: 0.125}
-	m := NewMonitor(cfg)
-	get, done := collectUpdates(m)
-	feedOverloadPhases(m, dualVantageStream(85))
-	m.CloseInput()
-	<-done
-	m.wg.Wait()
+	m, ups := runOverload(cfg)
 
 	st := m.Stats()
 	shed := st.ShedByClass
@@ -318,7 +384,6 @@ func TestOverloadControllerStretchesInsteadOfShedding(t *testing.T) {
 	if st.SkippedTicks == 0 {
 		t.Fatal("no tick deliveries skipped despite a stretched cadence")
 	}
-	ups := get()
 	if len(ups) == 0 {
 		t.Fatal("no updates emitted")
 	}

@@ -18,8 +18,8 @@ import (
 // composable:
 //
 //	Differencer  → per-stream Eq. 3 state, O(1) per report (exists)
-//	BinFuser     → the Eq. 6 bin grid as a ring buffer; a new sample
-//	               only touches the bins it lands in, O(spread) per add
+//	BinFuser     → the Eq. 6 bin grid as a ring of first differences;
+//	               a new sample writes at most four slots, O(1) per add
 //	Eq. 7 acc    → a running sum per antenna with window-exit
 //	               correction (StreamBandPass.Rebase), O(1) per bin
 //	StreamBandPass → causal FIR low-pass + IIR high-pass, O(taps) per bin
@@ -53,30 +53,41 @@ const (
 	FilterFIRStreaming
 )
 
-// BinFuser is the incremental form of FuseBins/FuseBinsLiteral: it
-// maintains the Eq. 6 bin grid (anchored at origin, binSec wide) as a
-// growable ring buffer, depositing each displacement sample into only
-// the bins its accrual interval covers. Deposits replicate the batch
-// fuser's arithmetic exactly, so a flush over [t0, t1) reproduces
-// FuseBins(samples, binSec, t0, t1) bit-for-bit when fed the same
-// samples in the same order.
+// BinFuser maintains the Eq. 6 bin grid (anchored at origin, binSec
+// wide) incrementally; FuseBins and FuseBinsLiteral are its batch face.
+// The grid is stored as first differences in a growable ring: slot i
+// holds bin i's value minus bin i−1's, and a bin's value is the running
+// sum of the differences up to it, started from carry, the value of the
+// bin just below base. A displacement sample spread over bins
+// [first, last] raises first by its first-bin part, the bins between
+// by the full-bin part D·binSec/span and last by its last-bin part, so
+// it writes at most four slots — first, first+1, last and last+1 —
+// whatever its span: O(1) per sample, where a value grid costs one
+// write and one division per bin spanned. Reads are a running sum, in
+// order (Engine.advance, WindowBins, Flush).
 //
 // Batch fusion knows the window [t0, t1) up front and excludes samples
 // with T ≥ t1; a streaming fuser cannot know t1, so it holds back the
 // samples carrying the newest timestamp seen (pending) and deposits
 // them only once a strictly newer sample arrives or SettleBefore/Flush
 // declares a bound — exactly reproducing the batch exclusion at every
-// tick boundary.
+// tick boundary. Fed the same samples in the same order, a flush over
+// [t0, t1) equals FuseBins(samples, binSec, t0, t1) bit for bit.
 type BinFuser struct {
 	binSec  float64
 	literal bool
 	origin  float64 // left edge of bin 0
 
-	ring []float64 // power-of-two sized; slot = index & mask
+	// ring holds the differences of the live bins [base, hi]; every
+	// other slot is zero. Power-of-two sized; slot = index & mask.
+	ring []float64
 	mask int
-	base int // first live bin index; bins below are evicted (zero)
-	hi   int // one past the highest touched bin index
-	adds int
+	base int // first live bin; the differences below are folded into carry
+	hi   int // one past the highest bin a sample reached
+	// carry is the value of bin base−1: the running sum of every
+	// difference folded out of the ring.
+	carry float64
+	adds  int
 
 	floor float64 // origin + base·binSec: the deposit renorm bound
 
@@ -101,7 +112,7 @@ func ringBins(need int) int {
 // NewBinFuser builds a fuser on the grid {origin + i·binSec}. literal
 // selects the paper's verbatim Eq. 6 (whole sample into the ending
 // bin) over the default interval spreading. capacityBins sizes the
-// ring initially. The ring follows the live span [Base(), Hi()): it
+// ring initially. The ring follows the live span [Base(), Hi()]: it
 // grows when a deposit lands past it, and EvictBefore shrinks it once
 // the span it held up to that eviction is a quarter of it or less.
 func NewBinFuser(binSec float64, literal bool, origin float64, capacityBins int) *BinFuser {
@@ -116,9 +127,11 @@ func NewBinFuser(binSec float64, literal bool, origin float64, capacityBins int)
 	}
 }
 
-// binIndex maps a time onto the grid; same arithmetic as the batch
-// fuser's int((t-t0)/binInterval) with t0 = origin.
+// binIndex maps a time onto the grid: int((t-origin)/binSec).
 func (f *BinFuser) binIndex(t float64) int { return int((t - f.origin) / f.binSec) }
+
+// edge is the left edge of bin i.
+func (f *BinFuser) edge(i int) float64 { return f.origin + float64(i)*f.binSec }
 
 // Adds returns how many samples have been added (deposited or held).
 func (f *BinFuser) Adds() int { return f.adds }
@@ -178,52 +191,66 @@ func (f *BinFuser) HeldFloor() float64 {
 	return f.pendMinTPrev
 }
 
-// deposit replicates fuseBins' per-sample arithmetic with the evicted
-// floor standing in for the window start t0: identical bin indices,
-// identical bin-edge overlap terms, identical renormalization.
+// deposit is the Eq. 6 kernel. It spreads D uniformly over the bins
+// the accrual interval [TPrev, T) covers: with dense reads (span ≤ one
+// bin) this is the paper's per-bin sum; with sparse reads it linearly
+// interpolates the stream's trajectory instead of aliasing a
+// multi-second displacement into a single bin. The evicted floor
+// stands in for a batch window's start: a sample reaching below it is
+// renormalized over its remaining overlap, and one ending below it is
+// dropped. A degenerate span, and literal mode, put all of D in the
+// bin of T. A non-finite D is dropped too: a report carrying 0 Hz
+// makes its wavelength, and so its displacement, infinite, and one
+// such difference would poison every later bin's running sum.
 func (f *BinFuser) deposit(s DisplacementSample) {
-	if s.T < f.floor {
-		return // entirely inside the evicted region
+	if s.T < f.floor || !(math.Abs(s.D) <= math.MaxFloat64) {
+		return // entirely inside the evicted region, or not finite
 	}
-	if f.literal {
-		f.add(f.clampLow(f.binIndex(s.T)), s.D)
-		return
-	}
-	lo, hi := s.TPrev, s.T
-	if lo < f.floor {
-		lo = f.floor
-	}
-	if hi <= lo {
-		f.add(f.clampLow(f.binIndex(s.T)), s.D)
+	lo, hi := max(s.TPrev, f.floor), s.T
+	if f.literal || hi <= lo {
+		f.spike(f.clampLow(f.binIndex(hi)), s.D)
 		return
 	}
 	first := f.clampLow(f.binIndex(lo))
-	last := f.binIndex(hi)
-	if last < first {
-		last = first
+	last := max(f.binIndex(hi), first)
+	// Drop an end bin the interval only touches at its edge (rounding
+	// of the bin index can put an edge on either side).
+	if last > first && f.edge(last) >= hi {
+		last--
 	}
-	if last-f.base >= len(f.ring) {
-		f.resize(last - f.base + 1)
+	if last > first && f.edge(first+1) <= lo {
+		first++
 	}
-	ring, mask := f.ring, f.mask
-	span := hi - lo
-	top := -1
-	for i := first; i <= last; i++ {
-		bLo := f.origin + float64(i)*f.binSec
-		bHi := bLo + f.binSec
-		if bLo < lo {
-			bLo = lo
-		}
-		if bHi > hi {
-			bHi = hi
-		}
-		if bHi > bLo {
-			ring[i&mask] += s.D * (bHi - bLo) / span
-			top = i
-		}
+	if last == first {
+		f.spike(first, s.D)
+		return
 	}
-	if top >= f.hi {
-		f.hi = top + 1
+	f.reserve(last + 1)
+	k := s.D / (hi - lo)
+	head := k * (f.edge(first+1) - lo) // bin first's part
+	tail := k * (hi - f.edge(last))    // bin last's part
+	r, m := f.ring, f.mask
+	r[first&m] += head
+	if last == first+1 {
+		r[last&m] += tail - head
+	} else {
+		full := k * f.binSec // every bin between
+		r[(first+1)&m] += full - head
+		r[last&m] += tail - full
+	}
+	r[(last+1)&m] -= tail
+	if last >= f.hi {
+		f.hi = last + 1
+	}
+}
+
+// spike adds v to bin i alone.
+func (f *BinFuser) spike(i int, v float64) {
+	f.reserve(i + 1)
+	f.ring[i&f.mask] += v
+	f.ring[(i+1)&f.mask] -= v
+	if i >= f.hi {
+		f.hi = i + 1
 	}
 }
 
@@ -234,48 +261,58 @@ func (f *BinFuser) clampLow(i int) int {
 	return i
 }
 
-// add accumulates into bin i, growing the ring when the live span
-// [base, i] no longer fits.
-func (f *BinFuser) add(i int, v float64) {
+// reserve grows the ring when slot i lies past the live span's room.
+func (f *BinFuser) reserve(i int) {
 	if i-f.base >= len(f.ring) {
 		f.resize(i - f.base + 1)
 	}
-	f.ring[i&f.mask] += v
-	if i >= f.hi {
-		f.hi = i + 1
-	}
 }
 
-// resize moves the live bins [base, hi) into a ring of ringBins(need)
-// slots. A ring grows at least twofold and shrinks to twice the span
-// it held between two evictions (evictTo), so that span must double
-// or halve before the next resize.
+// resize moves the live differences [base, hi] into a ring of
+// ringBins(need) slots. A ring grows at least twofold and shrinks to
+// twice the span it held between two evictions (evictTo), so that span
+// must double or halve before the next resize.
 //
 //tagbreathe:allow hotpath amortized: a ring resizes only when the span it holds between evictions doubles or falls to a quarter, never in steady state
 func (f *BinFuser) resize(need int) {
 	n := ringBins(need)
 	next := make([]float64, n)
-	for i := f.base; i < f.hi; i++ {
+	for i := f.base; i <= f.hi; i++ {
 		next[i&(n-1)] = f.ring[i&f.mask]
 	}
 	f.ring = next
 	f.mask = n - 1
 }
 
-// ValueAt returns bin i's fused value (zero for evicted or untouched
-// bins).
-func (f *BinFuser) ValueAt(i int) float64 {
-	if i < f.base || i >= f.hi {
+// diffAt returns bin i's difference from bin i−1, for i ≥ Base().
+func (f *BinFuser) diffAt(i int) float64 {
+	if i > f.hi {
 		return 0
 	}
 	return f.ring[i&f.mask]
 }
 
-// EvictBefore zeroes and releases all bins strictly before the bin
-// containing cutoff, advancing the deposit floor. Samples reaching
-// into the evicted region are renormalized over their remaining
-// overlap, exactly as batch fusion renormalizes at its window start.
-// Bins at or after cutoff's keep their values bit for bit.
+// ValueAt returns bin i's fused value (zero for evicted bins). It sums
+// the differences from Base() up, so it costs O(i − Base()); ordered
+// readers keep the running sum instead.
+func (f *BinFuser) ValueAt(i int) float64 {
+	if i < f.base {
+		return 0
+	}
+	v := f.carry
+	for j := f.base; j <= min(i, f.hi); j++ {
+		v += f.ring[j&f.mask]
+	}
+	return v
+}
+
+// EvictBefore releases all bins strictly before the bin containing
+// cutoff, folding their differences into carry and advancing the
+// deposit floor. Samples reaching into the evicted region are
+// renormalized over their remaining overlap, exactly as batch fusion
+// renormalizes at its window start. Bins at or after cutoff's keep
+// their values bit for bit: the fold adds the same differences in the
+// same order as a read of them does.
 func (f *BinFuser) EvictBefore(cutoff float64) { f.evictTo(f.binIndex(cutoff)) }
 
 // evictTo is EvictBefore by bin index: it releases bins below newBase.
@@ -289,18 +326,15 @@ func (f *BinFuser) evictTo(newBase int) {
 		return
 	}
 	held := f.hi - f.base
-	top := newBase
-	if top > f.hi {
-		top = f.hi
-	}
-	for i := f.base; i < top; i++ {
+	for i := f.base; i < min(newBase, f.hi+1); i++ {
+		f.carry += f.ring[i&f.mask]
 		f.ring[i&f.mask] = 0
 	}
 	f.base = newBase
 	if f.hi < f.base {
 		f.hi = f.base
 	}
-	f.floor = f.origin + float64(f.base)*f.binSec
+	f.floor = f.edge(f.base)
 	if len(f.ring) > minRingBins && 4*held <= len(f.ring) {
 		f.resize(2 * held)
 	}
@@ -309,17 +343,26 @@ func (f *BinFuser) evictTo(newBase int) {
 // WindowBins appends bins [iLo, iHi) to dst and returns it — the
 // recompute modes' window view, no per-tick re-fusion required.
 func (f *BinFuser) WindowBins(iLo, iHi int, dst []float64) []float64 {
+	v := f.carry
+	for i := f.base; i < min(iLo, f.hi+1); i++ {
+		v += f.ring[i&f.mask]
+	}
 	for i := iLo; i < iHi; i++ {
-		dst = append(dst, f.ValueAt(i))
+		if i < f.base {
+			dst = append(dst, 0)
+			continue
+		}
+		v += f.diffAt(i)
+		dst = append(dst, v)
 	}
 	return dst
 }
 
 // Flush settles what can settle before t1 and materializes the grid
-// over [t0, t1) — the batch path's terminal operation. Fed the same
-// in-order samples, the result is bit-identical to
-// FuseBins(samples, binSec, t0, t1) (and, in literal mode, matches
-// FuseBinsLiteral up to the addition order of out-of-grid clamping).
+// over [t0, t1) — the batch path's terminal operation, and all of
+// FuseBins. In literal mode the bins past the grid fold into its last
+// bin, so a sample stamped in the fractional tail of [t0, t1) still
+// counts, as Eq. 6 puts it in the window's last bin.
 func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 	if f.binSec <= 0 || t1 <= t0 {
 		return nil
@@ -329,15 +372,16 @@ func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 		return nil
 	}
 	f.SettleBefore(t1)
-	out := make([]float64, n)
 	i0 := f.binIndex(t0)
-	for i := range out {
-		out[i] = f.ValueAt(i0 + i)
-	}
+	out := f.WindowBins(i0, i0+n, make([]float64, 0, n))
 	if f.literal {
-		// Batch clampBin folds beyond-grid deposits into the last bin.
-		for i := i0 + n; i < f.hi; i++ {
-			out[n-1] += f.ValueAt(i)
+		i, v := i0+n, out[n-1]
+		if i <= f.base {
+			i, v = f.base, f.carry
+		}
+		for ; i < f.hi; i++ {
+			v += f.diffAt(i)
+			out[n-1] += v
 		}
 	}
 	return out
@@ -590,16 +634,20 @@ type tagSlot struct {
 // Feed ingests one report: tick stats, Eq. 3 differencing, and Eq. 6
 // fusion. Reports must arrive in timestamp order. O(1) amortized, and
 // a steady-state report hashes nothing.
+func (e *Engine) Feed(r reader.TagReport) { e.feed(&r) }
+
+// feed is Feed on a report read in place: the shard worker feeds each
+// report from its ring slot, and the batch path from its shard slice.
 //
 //tagbreathe:hotpath runs once per tag read inside every shard
-func (e *Engine) Feed(r reader.TagReport) {
+func (e *Engine) feed(r *reader.TagReport) {
 	if !e.started {
 		e.started = true
 		if !e.originSet {
 			e.origin = r.Timestamp.Seconds()
 		}
 	}
-	a := e.vantageOf(&r)
+	a := e.vantageOf(r)
 	a.reads++
 	a.rssiSum += float64(r.RSSI)
 	ts := r.Timestamp.Seconds()
@@ -612,7 +660,7 @@ func (e *Engine) Feed(r reader.TagReport) {
 		a.restart = ts + float64(e.hold)*e.binSec
 	}
 	a.lastRead = ts
-	if d, ok := e.df.difference(e.streamOf(a, &r), &r, ts); ok {
+	if d, ok := e.df.difference(e.streamOf(a, r), r, ts); ok {
 		a.fuser.Add(d)
 	}
 }
@@ -841,9 +889,20 @@ func (e *Engine) advanceChains(asOf float64) {
 }
 
 func (e *Engine) advance(a *antennaState, limIdx int) int {
-	n := 0
+	if limIdx <= a.next {
+		return 0
+	}
+	// A bin's fused value is the running sum of the fuser's
+	// differences. Start it at the last bin read, the guard bin
+	// EvictBefore keeps: a deposit that reached back into that bin
+	// after it was read changed its difference and the next one, and
+	// summing both keeps the later bins whole.
+	f := a.fuser
+	v := f.ValueAt(a.next - 1)
+	n := limIdx - a.next
 	for i := a.next; i < limIdx; i++ {
-		a.acc += a.fuser.ValueAt(i)
+		v += f.diffAt(i)
+		a.acc += v
 		y := a.bp.Push(a.acc)
 		if i >= e.warm {
 			// The output at push i is the filtered value of bin
@@ -856,11 +915,8 @@ func (e *Engine) advance(a *antennaState, limIdx int) int {
 		if a.pause != nil && i >= e.delay {
 			a.pause.Push(y)
 		}
-		n++
 	}
-	if limIdx > a.next {
-		a.next = limIdx
-	}
+	a.next = limIdx
 	return n
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -449,19 +450,37 @@ func TestBinFuserMatchesBatchFusion(t *testing.T) {
 // panic and must flush finite bins, and an eviction must leave every
 // bin from the cutoff's on bit for bit as it was, while the ring grows
 // and shrinks around the live span.
+//
+// The same records also drive an in-order stream the way the streaming
+// engine does (streamedFuser): sequential reads up to the finality
+// bound, each followed by an eviction that keeps the last bin read as
+// the guard, with later samples reaching back into that guard bin. The
+// streamed fuser must agree bit for bit with a twin fed the same
+// samples and never read.
 func FuzzBinFuser(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, false)
 	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3}, true)
 	// Samples 250 s in grow the ring to 4096 bins once they settle;
 	// evicting all but the last 2 s, and then 1 s more, shrinks it.
 	f.Add([]byte{0, 250, 16, 8, 0, 0, 8, 250, 0, 3, 1, 0, 8, 250, 0, 3, 2, 16, 8, 250, 0, 3, 2, 8}, false)
+	// An in-order stream read every other sample, with accruals from
+	// 0 to 4 s long: the longer ones reach back into the guard bin the
+	// read before kept.
+	var guard []byte
+	for i := 0; i < 96; i++ {
+		guard = append(guard, 8, 0, byte(i*13), byte(i*37), byte(1+i%2), 7)
+	}
+	f.Add(guard, false)
+	f.Add(guard, true)
 	f.Fuzz(func(t *testing.T, data []byte, literal bool) {
 		const binSec = 0.0625
 		fz := core.NewBinFuser(binSec, literal, 0, 16)
+		sf := newStreamedFuser(binSec, literal)
 		var kept []float64
 		for len(data) >= 6 {
 			rec := data[:6]
 			data = data[6:]
+			sf.step(rec)
 			// Bounded, hostile coordinates: times in [0, 256), spans
 			// possibly negative or zero, duplicates common.
 			tt := float64(binary.LittleEndian.Uint16(rec[0:2])) / 256
@@ -492,7 +511,182 @@ func FuzzBinFuser(f *testing.F) {
 				t.Fatalf("bin %d is %v", i, v)
 			}
 		}
+		sf.check(t)
 	})
+}
+
+// streamedFuser is FuzzBinFuser's in-order stream: a fuser read and
+// evicted as Engine.advance and Engine.EvictBefore do, beside a twin
+// that only fuses.
+type streamedFuser struct {
+	binSec   float64
+	fz, twin *core.BinFuser
+	t        float64         // the newest sample time
+	next     int             // the next bin to read
+	reads    map[int]float64 // every bin read, by index
+	guards   map[int]bool    // bins kept as the guard after a read
+}
+
+func newStreamedFuser(binSec float64, literal bool) *streamedFuser {
+	return &streamedFuser{
+		binSec: binSec,
+		fz:     core.NewBinFuser(binSec, literal, 0, 16),
+		twin:   core.NewBinFuser(binSec, literal, 0, 16),
+		reads:  map[int]float64{},
+		guards: map[int]bool{},
+	}
+}
+
+// step adds one in-order sample built from rec to both fusers; its
+// accrual may start anywhere from 4 s back up to the guard bin's left
+// edge, never below it, as the engine's finality bound guarantees.
+// Then it settles, or reads and evicts, as rec asks.
+func (sf *streamedFuser) step(rec []byte) {
+	sf.t += float64(rec[0]%16) / 32 // 0 repeats the timestamp
+	tp := sf.t - float64(rec[2]%64)/16
+	if sf.next > 0 {
+		tp = max(tp, float64(sf.next-1)*sf.binSec)
+	}
+	s := core.DisplacementSample{T: sf.t, TPrev: tp, D: (float64(int8(rec[3])) + 0.5) / 8}
+	sf.fz.Add(s)
+	sf.twin.Add(s)
+	switch rec[4] % 3 {
+	case 1:
+		sf.fz.SettleBefore(sf.t)
+		sf.twin.SettleBefore(sf.t)
+	case 2:
+		// Bins before the held samples' accrual start are final.
+		limit := min(sf.fz.HeldFloor(), sf.t)
+		lim := min(int(limit/sf.binSec), sf.next+1+int(rec[5]%64))
+		if lim <= sf.next {
+			return
+		}
+		// ValueAt sums the differences from the guard on, the same
+		// additions in the same order as advance's running sum.
+		for i := sf.next; i < lim; i++ {
+			sf.reads[i] = sf.fz.ValueAt(i)
+		}
+		sf.next = lim
+		sf.guards[lim-1] = true
+		sf.fz.EvictBefore(float64(lim-1) * sf.binSec)
+	}
+}
+
+// check settles both fusers and compares: every bin read, but a guard
+// (a later sample may still reach it), and every bin not yet read must
+// equal the twin's bit for bit. A deposit into a guard that was not
+// carried into the bins after it would show there as a step.
+func (sf *streamedFuser) check(t *testing.T) {
+	t1 := sf.t + 1
+	want := sf.twin.Flush(0, t1)
+	sf.fz.SettleBefore(math.Inf(1))
+	for i, v := range want {
+		got, ok := sf.reads[i]
+		if i >= sf.next {
+			got, ok = sf.fz.ValueAt(i), true
+		}
+		if !ok || (i < sf.next && sf.guards[i]) {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("bin %d (read up to %d): streamed %.17g, twin %.17g", i, sf.next, got, v)
+		}
+	}
+}
+
+// TestBinFuserWriteBelowReadLeavesNoStep reads a fuser past a sample
+// stream, then deposits samples that reach below the read position:
+// into the guard bin, below the deposit floor (renormalized over what
+// is left), and wholly below it (dropped). Each adds its displacement
+// to bins up to its end and nothing after: once they end, the bins
+// read exactly what a fuser that never saw them reads.
+func TestBinFuserWriteBelowReadLeavesNoStep(t *testing.T) {
+	const binSec = 0.0625
+	for _, literal := range []bool{false, true} {
+		fz := core.NewBinFuser(binSec, literal, 0, 16)
+		twin := core.NewBinFuser(binSec, literal, 0, 16)
+		for i := 1; i <= 80; i++ {
+			tt := float64(i) * 0.05
+			s := core.DisplacementSample{T: tt, TPrev: tt - 0.05, D: 1e-3 * math.Sin(float64(i))}
+			fz.Add(s)
+			twin.Add(s)
+		}
+		fz.SettleBefore(math.Inf(1))
+		twin.SettleBefore(math.Inf(1))
+		const read = 48 // bins [0, 48) read: 3 s
+		for i := 0; i < read; i++ {
+			fz.ValueAt(i)
+		}
+		fz.EvictBefore((read - 1) * binSec) // the guard is bin 47
+		for _, s := range []core.DisplacementSample{
+			{T: 3.5, TPrev: 2.95, D: 0.004},  // from the guard bin
+			{T: 3.7, TPrev: 1.0, D: -0.003},  // from below the floor
+			{T: 2.5, TPrev: 2.0, D: 0.005},   // wholly below the floor
+			{T: 3.6, TPrev: 3.6, D: 0.002},   // degenerate, past the read position
+			{T: 3.65, TPrev: 3.62, D: 0.001}, // out of order
+		} {
+			fz.Add(s)
+		}
+		fz.SettleBefore(math.Inf(1))
+		end := 3.7 // the latest a late sample ends
+		for i := int(end/binSec) + 1; i < 200; i++ {
+			if g, w := fz.ValueAt(i), twin.ValueAt(i); math.Abs(g-w) > 1e-15 {
+				t.Fatalf("literal=%v: bin %d reads %.3g, %.3g without the late samples: a step of %.3g",
+					literal, i, g, w, g-w)
+			}
+		}
+	}
+}
+
+// TestBinFuserDropsNonFiniteSamples deposits an infinite and a NaN
+// displacement, as a report on 0 Hz produces, among finite ones: the
+// bins must stay finite and equal those of the finite samples alone,
+// in both modes.
+func TestBinFuserDropsNonFiniteSamples(t *testing.T) {
+	for _, literal := range []bool{false, true} {
+		fz := core.NewBinFuser(0.0625, literal, 0, 16)
+		twin := core.NewBinFuser(0.0625, literal, 0, 16)
+		for i := 1; i <= 40; i++ {
+			tt := float64(i) * 0.1
+			s := core.DisplacementSample{T: tt, TPrev: tt - 0.3, D: 1e-3 * math.Cos(float64(i))}
+			fz.Add(s)
+			twin.Add(s)
+			if i == 10 || i == 20 {
+				s.D = math.Inf(1)
+				if i == 20 {
+					s.D = math.NaN()
+				}
+				fz.Add(s)
+			}
+		}
+		got, want := fz.Flush(0, 5), twin.Flush(0, 5)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("literal=%v bin %d: %v, %v without the non-finite samples", literal, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkBinFuserAdd prices one Eq. 6 deposit (plus its share of
+// eviction) for samples spread over 1, 8 and 32 bins: a sample writes
+// at most four slots, so the cost should not grow with the span.
+func BenchmarkBinFuserAdd(b *testing.B) {
+	const binSec = 0.0625
+	for _, span := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("span=%d", span), func(b *testing.B) {
+			fz := core.NewBinFuser(binSec, false, 0, 0)
+			w := float64(span) * binSec
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tt := float64(i) * binSec
+				fz.Add(core.DisplacementSample{T: tt + w, TPrev: tt + 0.01, D: 1e-3})
+				if i%64 == 63 {
+					fz.EvictBefore(tt - 1)
+				}
+			}
+		})
+	}
 }
 
 // TestCrossingTrackerWindowed is a cross-package sanity check that the

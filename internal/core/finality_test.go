@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -104,5 +105,32 @@ func TestStreamingRingFollowsFinality(t *testing.T) {
 	}
 	if gapRing <= bound {
 		t.Errorf("over the %d s gap the largest ring held %d bins, want it to grow past %d", gapSec, gapRing, bound)
+	}
+}
+
+// TestAdvanceCarriesGuardDeposits reads a streaming chain's bins, then
+// deposits a sample that reaches back into the last bin read, the
+// guard EvictBefore keeps. The chain must carry what the sample added
+// to the bins after the guard, and nothing more: once the sample ends
+// the chain reads no displacement, so the Eq. 7 sum stops moving. A
+// running sum that missed the guard's share would read it back as a
+// step in every later bin, and the sum would drift without end.
+func TestAdvanceCarriesGuardDeposits(t *testing.T) {
+	e := NewEngine(Config{Filter: FilterFIRStreaming}, EngineOptions{Window: 25, OriginSet: true})
+	a := e.addVantage(vantage{})
+	f := a.fuser
+	f.Add(DisplacementSample{T: 1, TPrev: 0, D: 0.01})
+	f.SettleBefore(math.Inf(1))
+	e.advance(a, 10)
+	// Evict as EvictBefore does, keeping bin 9 as the guard, then add
+	// a sample whose accrual starts inside bin 9.
+	f.evictTo(a.next - 1)
+	f.Add(DisplacementSample{T: 1.5, TPrev: 0.6, D: 0.02})
+	f.SettleBefore(math.Inf(1))
+	e.advance(a, 40) // past the sample's end, bin 24
+	acc := a.acc
+	e.advance(a, 200)
+	if d := a.acc - acc; math.Abs(d) > 1e-12 {
+		t.Fatalf("the Eq. 7 sum moved %.3g over 160 bins no sample reached", d)
 	}
 }

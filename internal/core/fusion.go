@@ -11,8 +11,10 @@ import (
 // FuseBins implements Eq. 6: displacement samples from all of a user's
 // tags are summed per time bin of width binInterval seconds, producing
 // one fused displacement value per bin over [t0, t1). Bins that no tag
-// sampled contribute zero (no observed motion information). The fused
-// per-bin stream is what Eq. 7 accumulates into the breathing waveform.
+// sampled contribute no displacement: they read zero, or a rounding
+// residue of the running sum the grid is stored as (BinFuser) when
+// samples came before them. The fused per-bin stream is what Eq. 7
+// accumulates into the breathing waveform.
 //
 // Fusing raw displacements (rather than extracting per-tag and fusing
 // results) adds the tags' signals coherently — all sites move outward
@@ -33,67 +35,20 @@ func FuseBinsLiteral(samples []DisplacementSample, binInterval, t0, t1 float64) 
 	return fuseBins(samples, binInterval, t0, t1, true)
 }
 
+// fuseBins is batch fusion on the streaming fuser's kernel: a BinFuser
+// anchored at t0 takes every sample of [t0, t1) in the given order, so
+// the two agree bit for bit.
 func fuseBins(samples []DisplacementSample, binInterval, t0, t1 float64, literal bool) []float64 {
 	if binInterval <= 0 || t1 <= t0 {
 		return nil
 	}
-	n := int((t1 - t0) / binInterval)
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
+	f := NewBinFuser(binInterval, literal, t0, int((t1-t0)/binInterval)+2)
 	for _, s := range samples {
-		if s.T < t0 || s.T >= t1 {
-			continue
-		}
-		if literal {
-			out[clampBin(int((s.T-t0)/binInterval), n)] += s.D
-			continue
-		}
-		lo, hi := s.TPrev, s.T
-		if lo < t0 {
-			lo = t0
-		}
-		if hi <= lo {
-			// Degenerate span: deposit into the ending bin.
-			i := clampBin(int((s.T-t0)/binInterval), n)
-			out[i] += s.D
-			continue
-		}
-		// Spread D uniformly over the bins the accrual interval
-		// covers. With dense reads (span ≤ one bin) this degenerates
-		// to the paper's per-bin sum; with sparse reads it linearly
-		// interpolates the stream's trajectory instead of aliasing a
-		// multi-second displacement into a single bin.
-		first := clampBin(int((lo-t0)/binInterval), n)
-		last := clampBin(int((hi-t0)/binInterval), n)
-		span := hi - lo
-		for i := first; i <= last; i++ {
-			bLo := t0 + float64(i)*binInterval
-			bHi := bLo + binInterval
-			if bLo < lo {
-				bLo = lo
-			}
-			if bHi > hi {
-				bHi = hi
-			}
-			if bHi > bLo {
-				out[i] += s.D * (bHi - bLo) / span
-			}
+		if s.T >= t0 && s.T < t1 {
+			f.deposit(s)
 		}
 	}
-	return out
-}
-
-// clampBin bounds a bin index into [0, n).
-func clampBin(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
+	return f.Flush(t0, t1)
 }
 
 // AntennaQuality scores one (user, antenna) stream for the selection

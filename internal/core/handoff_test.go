@@ -30,13 +30,13 @@ func (q *shardRing) lockedUnfed() int {
 }
 
 // TestShardRingOccCountsUnfed puts a tick while the worker is midway
-// through its span: the tick's occ, and the occupancy put returns,
+// through its span: the tick's occ, and the occupancy putTick returns,
 // must count only the entries not yet fed, as unfed does — not the
 // part of the span the worker has already finished.
 func TestShardRingOccCountsUnfed(t *testing.T) {
 	q := newShardRing(8)
 	for i := 0; i < 5; i++ {
-		q.put(shardInput{slot: int32(i)})
+		q.put(&reader.TagReport{}, int32(i))
 	}
 	for i := 0; i < 3; i++ {
 		if in, ok := q.next(); !ok || in.slot != int32(i) {
@@ -46,9 +46,9 @@ func TestShardRingOccCountsUnfed(t *testing.T) {
 	// Entries 0 and 1 are fed; 2 is in the worker's hands, 3 and 4
 	// are queued.
 	tick := &monitorTick{}
-	after := q.put(shardInput{tick: tick})
+	after := q.putTick(tick)
 	if want := q.lockedUnfed(); after != want || want != 4 {
-		t.Fatalf("put returned %d entries not yet fed, unfed counts %d; want 4 both", after, want)
+		t.Fatalf("putTick returned %d entries not yet fed, unfed counts %d; want 4 both", after, want)
 	}
 	for i := 3; i < 5; i++ {
 		if in, ok := q.next(); !ok || in.slot != int32(i) {
@@ -75,7 +75,7 @@ func TestShardRingHoldsRouterAtShardQueue(t *testing.T) {
 			UpdateEvery:  time.Second,
 			ShardQueue:   size,
 			ShardWorkers: 1,
-			testTickWork: 300 * time.Millisecond,
+			testTickWork: sleepTick(300 * time.Millisecond),
 		})
 		go func() {
 			for range m.Updates() {
@@ -130,7 +130,7 @@ func TestDropNewestShedFirstReportKeepsSlots(t *testing.T) {
 		ShardQueue:   size,
 		ShardWorkers: 1,
 		Overload:     OverloadDropNewest,
-		testTickWork: 300 * time.Millisecond,
+		testTickWork: sleepTick(300 * time.Millisecond),
 	})
 	var ups []RateUpdate
 	drained := make(chan struct{})

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,12 +92,15 @@ type MonitorConfig struct {
 	// at ingest. Nil traces nothing: the per-report cost is two
 	// predictable branches.
 	Tracer *obs.Tracer
-	// testTickWork (tests only, hence unexported) adds this much wall
-	// time of artificial work to every analyzed tick on every worker:
-	// deterministic, machine-independent overload for the degradation
-	// tests. Zero — always, outside package-internal tests — costs one
-	// predictable branch per tick.
-	testTickWork time.Duration
+	// testTickWork (tests only, hence unexported) runs on a worker at
+	// every analyzed tick, before the analysis, with the tick's stream
+	// time: artificial tick work for the overload tests, either a fixed
+	// sleep or a hold the test releases in step with its producer, so
+	// the queue occupancy the router stamps on later ticks — what the
+	// degradation governor samples — follows the test's steps, not the
+	// worker's wall clock. Nil — always, outside package-internal
+	// tests — costs one predictable branch per tick.
+	testTickWork func(asOf time.Duration)
 	// testForceStretch (tests only) pins every worker's governor at a
 	// fixed stretch factor, bypassing the closed loop: the cadence the
 	// stretch-equivalence tests compare against full rate.
@@ -272,7 +276,7 @@ func (m *Monitor) Ingest(r reader.TagReport) bool {
 		// its origin and stamp the hand-off into the monitor.
 		m.tracer.Stamp(r.TraceID, obs.StageIngest)
 	}
-	if !m.rt.route(r) {
+	if !m.rt.route(&r) {
 		m.tracer.Abort(r.TraceID)
 		return false
 	}
@@ -445,7 +449,7 @@ type gateKey struct {
 // writer of those engines, ever. It takes its queue a span at a time,
 // feeds each report into its user's stage engine (so differencing and
 // Eq. 6 fusion are already done when a tick lands) and answers ticks
-// by analyzing all its users in first-report order; the worker pool is
+// by analyzing all its users in ascending user ID; the worker pool is
 // where the monitor's parallelism across users comes from.
 //
 //tagbreathe:hotpath per-report feed path; the tick branch is the 1/UpdateEvery cold side and carries its own allows
@@ -455,7 +459,12 @@ func (m *Monitor) workerLoop(wi int, q *shardRing) {
 	// engines is indexed by the router's user slot; a slot stays nil
 	// until its user's first report is fed (earlier ones may be shed).
 	var engines []*Engine
-	var order []*Engine // tick in first-report order, deterministically
+	// order ticks the engines in ascending user ID, so each tick's
+	// updates leave the worker sorted and the collector only merges
+	// the workers' runs. It is re-sorted on the first tick after a new
+	// user; sorted counts the engines it held then.
+	var order []*Engine
+	sorted := 0
 
 	// Per-worker lag gauge handles, resolved once (Vec.With takes the
 	// family lock; the Set calls below are single atomics).
@@ -521,8 +530,12 @@ func (m *Monitor) workerLoop(wi int, q *shardRing) {
 				}
 				stretch = gov.stretch
 			}
-			if m.cfg.testTickWork > 0 {
-				time.Sleep(m.cfg.testTickWork) // test-only deterministic overload; zero outside package tests
+			if m.cfg.testTickWork != nil {
+				m.cfg.testTickWork(tick.asOf) // test-only overload; nil outside package tests
+			}
+			if sorted < len(order) {
+				slices.SortFunc(order, func(a, b *Engine) int { return cmp.Compare(a.userID, b.userID) })
+				sorted = len(order)
 			}
 			asOf := tick.asOf.Seconds()
 			evict := (tick.asOf - m.cfg.Window).Seconds()
@@ -607,7 +620,7 @@ func (m *Monitor) workerLoop(wi int, q *shardRing) {
 			engines[in.slot] = eng
 			order = append(order, eng)
 		}
-		eng.Feed(*r)
+		eng.feed(r)
 		m.metrics.Processed.Inc()
 		if r.TraceID != 0 {
 			m.tracer.Stamp(r.TraceID, obs.StageFeed)
@@ -656,21 +669,26 @@ const maxOpenTraces = 64
 
 // collectLoop reassembles the sharded analyses into one ordered update
 // stream: ticks arrive in stream-time order, and within a tick the
-// updates are sorted by user ID, so consumers see a deterministic,
+// updates are in ascending user ID — each worker's reply already is,
+// and the collector merges them — so consumers see a deterministic,
 // globally time-ordered stream regardless of shard scheduling.
 func (m *Monitor) collectLoop(ticks <-chan *monitorTick) {
 	defer m.wg.Done()
 	defer close(m.updates)
 
+	var runs [][]RateUpdate
+	var traces []uint64
 	for tick := range ticks {
-		var ups []RateUpdate
-		var traces []uint64
+		runs, traces = runs[:0], traces[:0]
+		n := 0
 		for i := 0; i < tick.workers; i++ {
 			res := <-tick.results
-			ups = append(ups, res.ups...)
+			runs = append(runs, res.ups)
 			traces = append(traces, res.traces...)
+			n += len(res.ups)
 		}
-		sort.Slice(ups, func(i, j int) bool { return ups[i].UserID < ups[j].UserID })
+		ups := mergeByUser(make([]RateUpdate, 0, n), runs)
+		clear(runs) // the workers' replies are garbage once merged
 		if len(ups) > 0 {
 			m.lastMu.Lock()
 			wall := time.Now().UnixNano()
@@ -695,6 +713,26 @@ func (m *Monitor) collectLoop(ticks <-chan *monitorTick) {
 		if m.lastWall != nil {
 			m.staleUsers() // refresh the freshness gauges on the tick cadence
 		}
+	}
+}
+
+// mergeByUser appends the updates of runs, each in ascending user ID,
+// to dst in one ascending sequence. It scans the heads of the runs
+// for each update, O(updates · runs); a run per shard worker keeps
+// that small.
+func mergeByUser(dst []RateUpdate, runs [][]RateUpdate) []RateUpdate {
+	for {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0].UserID < runs[best][0].UserID) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, runs[best][0])
+		runs[best] = runs[best][1:]
 	}
 }
 

@@ -101,18 +101,38 @@ func newShardRing(size int) *shardRing {
 	return q
 }
 
-// put appends one entry, waiting while the ring is full for the worker
-// to free a span. It stamps in.occ with the entries not yet fed that
-// it found, and returns that count with the entry added.
-func (q *shardRing) put(in shardInput) int {
+// put appends a report for the user in slot, copying it once, straight
+// into its ring slot; it waits while the ring is full for the worker to
+// free a span. It returns the entries not yet fed, this one included.
+func (q *shardRing) put(r *reader.TagReport, slot int32) int {
 	q.mu.Lock() //tagbreathe:allow hotpath the ring's one lock per routed entry; it replaces the channel send's
 	defer q.mu.Unlock()
-	in.occ = q.unfed()
+	q.reclaim()
+	q.wait()
+	q.pushReport(r, slot, false)
+	return q.n
+}
+
+// putTick appends an analysis tick, waiting while the ring is full. It
+// stamps the entry's occ with the entries not yet fed that it found,
+// the backlog queued ahead of the tick, and returns that count with
+// the tick added.
+func (q *shardRing) putTick(t *monitorTick) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	occ := q.unfed()
+	q.wait()
+	in := q.tail()
+	in.tick, in.occ = t, occ
+	q.commit()
+	return q.n
+}
+
+// wait blocks until the ring has room. Called with q.mu held.
+func (q *shardRing) wait() {
 	for q.n == len(q.buf) {
 		q.space.Wait()
 	}
-	q.push(in)
-	return q.n
 }
 
 // unfed reclaims what the worker has finished and returns the number
@@ -122,19 +142,33 @@ func (q *shardRing) unfed() int {
 	return q.n
 }
 
-// offer appends one entry if the ring has room, without waiting, and
-// reports whether it did. Called with q.mu held, after unfed.
-func (q *shardRing) offer(in shardInput) bool {
+// offer appends a report (a vantage-gate tombstone when closeVantage)
+// if the ring has room, without waiting, copying it straight into its
+// slot, and reports whether it did. Called with q.mu held, after unfed.
+func (q *shardRing) offer(r *reader.TagReport, slot int32, closeVantage bool) bool {
 	if q.n == len(q.buf) {
 		return false
 	}
-	q.push(in)
+	q.pushReport(r, slot, closeVantage)
 	return true
 }
 
-// push appends one entry to a ring with room. Called with q.mu held.
-func (q *shardRing) push(in shardInput) {
-	q.buf[(q.head+q.n)%len(q.buf)] = in
+// pushReport copies r straight into the next slot of a ring with room.
+// Called with q.mu held.
+func (q *shardRing) pushReport(r *reader.TagReport, slot int32, closeVantage bool) {
+	in := q.tail()
+	in.report = *r
+	in.slot, in.tick, in.closeVantage = slot, nil, closeVantage
+	q.commit()
+}
+
+// tail returns the slot the next entry is written in, in place. Called
+// with q.mu held, on a ring with room.
+func (q *shardRing) tail() *shardInput { return &q.buf[(q.head+q.n)%len(q.buf)] }
+
+// commit queues the entry written at tail and wakes the worker. Called
+// with q.mu held.
+func (q *shardRing) commit() {
 	q.n++
 	q.ready.Signal()
 }
@@ -260,7 +294,7 @@ func newRouter(m *Monitor, ticks chan<- *monitorTick) *router {
 // crosses an UpdateEvery boundary. False means the input is closed.
 //
 //tagbreathe:hotpath runs once per tag read inside Ingest, on the producer's goroutine
-func (rt *router) route(r reader.TagReport) bool {
+func (rt *router) route(r *reader.TagReport) bool {
 	m := rt.m
 	rt.mu.Lock() //tagbreathe:allow hotpath the routing state's one lock, uncontended with a single producer; it replaces the channel hop to a routing goroutine
 	defer rt.mu.Unlock()
@@ -290,12 +324,11 @@ func (rt *router) route(r reader.TagReport) bool {
 		m.metrics.ActiveUsers.Set(float64(len(rt.assign)))
 	}
 	w := &rt.workers[us.worker]
-	in := shardInput{report: r, slot: us.slot}
 	var depth int
 	if m.cfg.Overload == OverloadDropNewest {
-		depth = rt.admit(w, uid, in)
+		depth = rt.admit(w, uid, r, us.slot)
 	} else {
-		depth = w.q.put(in)
+		depth = w.q.put(r, us.slot)
 		m.tracer.Stamp(r.TraceID, obs.StageDemux)
 	}
 	w.hw.SetMax(float64(depth))
@@ -326,9 +359,8 @@ func (rt *router) route(r reader.TagReport) bool {
 // vantage stops being redundant. The shed decision and the put share
 // one ring lock. It returns the entries not yet fed afterwards. Called
 // with rt.mu held.
-func (rt *router) admit(w *routeWorker, uid uint64, in shardInput) int {
+func (rt *router) admit(w *routeWorker, uid uint64, r *reader.TagReport, slot int32) int {
 	m := rt.m
-	r := &in.report
 	q := w.q
 	q.mu.Lock() //tagbreathe:allow hotpath the ring's one lock per routed entry, as in put
 	defer q.mu.Unlock()
@@ -350,8 +382,7 @@ func (rt *router) admit(w *routeWorker, uid uint64, in shardInput) int {
 		// as a tombstone so the worker retires the vantage's phase
 		// streams. With no room for the tombstone the gate stays open
 		// and the next redundant report retries.
-		in.closeVantage = true
-		if q.offer(in) {
+		if q.offer(r, slot, true) {
 			rt.gated[gk] = struct{}{}
 			m.metrics.VantageGates.Set(float64(len(rt.gated)))
 			m.metrics.VantageGateCloses.Inc()
@@ -359,7 +390,7 @@ func (rt *router) admit(w *routeWorker, uid uint64, in shardInput) int {
 		rt.shed(r.TraceID, ShedRedundant)
 		return q.n
 	}
-	if q.offer(in) {
+	if q.offer(r, slot, false) {
 		m.tracer.Stamp(r.TraceID, obs.StageDemux)
 	} else {
 		rt.shed(r.TraceID, m.VantageClass(uid, r.ReaderID, r.AntennaPort))
@@ -386,9 +417,9 @@ func (rt *router) broadcast(asOf time.Duration) {
 		wall:    time.Now(),
 	}
 	for i := range rt.workers {
-		// put stamps occ, the backlog ahead of this tick — the
+		// putTick stamps occ, the backlog ahead of this tick — the
 		// governor's pressure signal.
-		rt.workers[i].q.put(shardInput{tick: tick})
+		rt.workers[i].q.putTick(tick)
 	}
 	rt.m.metrics.Ticks.Inc()
 	rt.ticks <- tick

@@ -76,8 +76,8 @@ func estimateShard(sh userShard, t0, t1 float64, cfg Config) *UserEstimate {
 		Window:    t1 - t0,
 		UserID:    sh.uid,
 	})
-	for _, r := range sh.reports {
-		eng.Feed(r)
+	for i := range sh.reports {
+		eng.feed(&sh.reports[i])
 	}
 	return eng.FlushEstimate(t0, t1)
 }
