@@ -2,6 +2,7 @@ package llrp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -245,5 +246,25 @@ func TestMessageTypeStrings(t *testing.T) {
 	}
 	if StatusSuccess.String() != "Success" || StatusCode(999).String() == "" {
 		t.Error("status String mismatch")
+	}
+}
+
+// TestDecodePhaseStaysBelowTwoPi: RFPhaseAngle is 12 bits, so a phase
+// field past 4095 steps wraps instead of decoding to 2π or more.
+func TestDecodePhaseStaysBelowTwoPi(t *testing.T) {
+	for _, c := range []struct {
+		steps uint16
+		want  float64
+	}{{4096, 0}, {65535, 4095.0 / 4096 * 2 * math.Pi}} {
+		custom := binary.BigEndian.AppendUint32(nil, vendorImpinj)
+		custom = binary.BigEndian.AppendUint32(custom, customPhaseAngle)
+		custom = binary.BigEndian.AppendUint16(custom, c.steps)
+		got, err := DecodeTagReports(appendTLV(nil, ParamTagReportData, appendTLV(nil, ParamCustom, custom)))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("steps %d: %v, %d reports", c.steps, err, len(got))
+		}
+		if p := float64(got[0].Phase); math.Float64bits(p) != math.Float64bits(c.want) || p >= 2*math.Pi {
+			t.Errorf("steps %d: phase %v, want %v", c.steps, p, c.want)
+		}
 	}
 }
