@@ -900,20 +900,30 @@ func (e *Engine) advance(a *antennaState, limIdx int) int {
 	f := a.fuser
 	v := f.ValueAt(a.next - 1)
 	n := limIdx - a.next
-	for i := a.next; i < limIdx; i++ {
-		v += f.diffAt(i)
-		a.acc += v
-		y := a.bp.Push(a.acc)
-		if i >= e.warm {
-			// The output at push i is the filtered value of bin
-			// i − delay; stamp the crossing on that bin's time.
-			tOut := e.origin + float64(i-e.delay)*e.binSec
-			if zc, ok := a.tracker.Push(tOut, y); ok {
-				a.crossings = append(a.crossings, zc)
-			}
+	// The bins go through the band-pass a block at a time: the Eq. 7
+	// sums of a block first, then its filtered values in place.
+	var blk [sigproc.BlockLen]float64
+	for i := a.next; i < limIdx; {
+		b := blk[:min(limIdx-i, len(blk))]
+		for q := range b {
+			v += f.diffAt(i + q)
+			a.acc += v
+			b[q] = a.acc
 		}
-		if a.pause != nil && i >= e.delay {
-			a.pause.Push(y)
+		a.bp.PushBlock(b)
+		for _, y := range b {
+			if i >= e.warm {
+				// The output at push i is the filtered value of bin
+				// i − delay; stamp the crossing on that bin's time.
+				tOut := e.origin + float64(i-e.delay)*e.binSec
+				if zc, ok := a.tracker.Push(tOut, y); ok {
+					a.crossings = append(a.crossings, zc)
+				}
+			}
+			if a.pause != nil && i >= e.delay {
+				a.pause.Push(y)
+			}
+			i++
 		}
 	}
 	a.next = limIdx
@@ -1169,13 +1179,15 @@ func (e *Engine) streamingSignal(a *antennaState, bins []float64, t0 float64) *B
 	if len(bins) < 8 || a.bp == nil {
 		return nil
 	}
-	out := make([]float64, 0, len(bins))
+	// The Eq. 7 sums go through the band-pass in one block, filtered in
+	// place.
+	ys := make([]float64, len(bins))
 	for i, v := range bins {
 		a.acc += v
-		y := a.bp.Push(a.acc)
-		if i-e.delay >= 0 {
-			out = append(out, y)
-		}
+		ys[i] = a.acc
+	}
+	a.bp.PushBlock(ys)
+	for i, y := range ys {
 		if i >= e.warm {
 			tOut := t0 + float64(i-e.delay)*e.binSec
 			if zc, ok := a.tracker.Push(tOut, y); ok {
@@ -1183,6 +1195,7 @@ func (e *Engine) streamingSignal(a *antennaState, bins []float64, t0 float64) *B
 			}
 		}
 	}
+	out := ys[min(e.delay, len(ys)):]
 	return &BreathSignal{
 		T0:         t0,
 		SampleRate: 1 / e.binSec,

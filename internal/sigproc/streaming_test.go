@@ -1,6 +1,7 @@
 package sigproc
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -96,6 +97,104 @@ func TestStreamFIRPushMatchesWrapLoop(t *testing.T) {
 				t.Fatalf("%d taps, sample %d: Push %.17g, wrap loop %.17g", m, n, got, want)
 			}
 		}
+	}
+}
+
+// TestStreamFIRPushBlockMatchesPush: PushBlock must return, bit for
+// bit, what per-sample Push returns, for every block size from 1 to
+// past two compactions, starting at every position in the input
+// buffer's compaction cycle, with Rebase between blocks.
+func TestStreamFIRPushBlockMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{1, 2, 3, 5, 95} {
+		h := make([]float64, m)
+		for j := range h {
+			h[j] = rng.NormFloat64()
+		}
+		for start := 0; start <= BlockLen; start++ {
+			for size := 1; size <= 2*BlockLen+1; size++ {
+				ref, _ := NewStreamFIR(h)
+				blk, _ := NewStreamFIR(h)
+				for i := 0; i < start; i++ {
+					x := rng.NormFloat64()
+					ref.Push(x)
+					blk.Push(x)
+				}
+				xs := make([]float64, size)
+				for round := 0; round < 5; round++ {
+					want := make([]float64, size)
+					for i := range xs {
+						xs[i] = rng.NormFloat64() * 100
+						want[i] = ref.Push(xs[i])
+					}
+					blk.PushBlock(xs)
+					for i := range xs {
+						if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%d taps, start %d, block %d, round %d, sample %d: PushBlock %.17g, Push %.17g",
+								m, start, size, round, i, xs[i], want[i])
+						}
+					}
+					c := rng.NormFloat64()
+					ref.Rebase(c)
+					blk.Rebase(c)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamBandPassPushBlockMatchesPush: the band-pass's PushBlock
+// must return Push's outputs bit for bit at every block size.
+func TestStreamBandPassPushBlockMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for size := 1; size <= 2*BlockLen+1; size++ {
+		ref, err := NewStreamBandPass(16, 0.05, 0.67)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := ref.Fresh()
+		xs := make([]float64, size)
+		for n := 0; n < 400; n += size {
+			want := make([]float64, size)
+			for i := range xs {
+				xs[i] = 3 + rng.NormFloat64() + 0.01*float64(n+i)
+				want[i] = ref.Push(xs[i])
+			}
+			blk.PushBlock(xs)
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("block %d, sample %d: PushBlock %.17g, Push %.17g", size, n+i, xs[i], want[i])
+				}
+			}
+			if n%3 == 0 {
+				ref.Rebase(1.5)
+				blk.Rebase(1.5)
+			}
+		}
+	}
+}
+
+// BenchmarkStreamBandPassBlock pushes the default band-pass (16 Hz
+// bins, 0.05–0.67 Hz, 95 taps) one sample at a time and in blocks of
+// BlockLen, as the streaming tick does, and reports ns per sample.
+func BenchmarkStreamBandPassBlock(b *testing.B) {
+	for _, size := range []int{1, BlockLen} {
+		b.Run(fmt.Sprintf("block=%d", size), func(b *testing.B) {
+			bp, err := NewStreamBandPass(16, 0.05, 0.67)
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs := make([]float64, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range xs {
+					xs[j] = float64(i*size+j) * 1e-3
+				}
+				bp.PushBlock(xs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
+		})
 	}
 }
 
