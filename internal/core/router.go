@@ -190,6 +190,10 @@ func (q *shardRing) next() (*shardInput, bool) {
 	return &q.span[q.pos-1], true
 }
 
+// spanUsed reports whether next has returned every entry of the held
+// span, so that the next call takes a new span and may wait for it.
+func (q *shardRing) spanUsed() bool { return q.pos == len(q.span) }
+
 // take frees the held span and waits for the next.
 func (q *shardRing) take() bool {
 	q.mu.Lock() //tagbreathe:allow hotpath one lock per span of up to spanMax entries
