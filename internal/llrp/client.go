@@ -18,8 +18,8 @@ import (
 
 // Client is the host side of an LLRP connection (the role the paper's
 // LLRP Toolkit plays): it configures the reader, drives the ROSpec
-// lifecycle, answers keepalives, and hands each decoded tag report to
-// its delivery hook. A Session builds and owns every Client.
+// lifecycle, answers keepalives, and hands each decoded frame of tag
+// reports to its delivery hook. A Session builds and owns every Client.
 type Client struct {
 	conn net.Conn
 	// in buffers the connection's inbound bytes. frame and batch are
@@ -47,11 +47,12 @@ type Client struct {
 	err     error
 	closed  bool
 
-	// deliver receives each decoded report on the read loop goroutine;
+	// deliver receives each decoded frame's reports on the read loop
+	// goroutine, as a slice valid only for the duration of the call;
 	// false ends the loop. The Session sets it (it is required), so
 	// reports reach the session's stable channel or its delivery hook
 	// without a hand-off of their own.
-	deliver func(r reader.TagReport) bool
+	deliver func(batch []reader.TagReport) bool
 	// done closes when the read loop has exited.
 	done chan struct{}
 }
@@ -61,7 +62,7 @@ type Client struct {
 // greeting handshake abort when ctx ends; the client's lifetime is
 // independent of ctx, and Close tears it down. A nil m builds private
 // instruments; a nil tr traces nothing; deliver is Client.deliver.
-func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
+func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer, deliver func([]reader.TagReport) bool) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -81,7 +82,7 @@ func dialClient(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Trac
 
 // newClient performs the connection handshake on an established
 // connection and starts the read loop (arguments as for dialClient).
-func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func(reader.TagReport) bool) (*Client, error) {
+func newClient(conn net.Conn, m *ClientMetrics, tr *obs.Tracer, deliver func([]reader.TagReport) bool) (*Client, error) {
 	if m == nil {
 		m = NewClientMetrics(nil)
 	}
@@ -233,23 +234,6 @@ func (c *Client) SetReaderConfig() error {
 	return c.requestStatus(MsgSetReaderConfig, nil, defaultRequestTimeout)
 }
 
-// ReaderCapabilities queries the reader's identity and dimensions
-// (GET_READER_CAPABILITIES), the first call a host typically makes.
-func (c *Client) ReaderCapabilities() (Capabilities, error) {
-	resp, err := c.request(MsgGetReaderCapabilities, nil, defaultRequestTimeout)
-	if err != nil {
-		return Capabilities{}, err
-	}
-	code, desc, err := DecodeStatus(resp.Payload)
-	if err != nil {
-		return Capabilities{}, err
-	}
-	if code != StatusSuccess {
-		return Capabilities{}, fmt.Errorf("llrp: GET_READER_CAPABILITIES failed: %v (%s)", code, desc)
-	}
-	return DecodeCapabilities(resp.Payload)
-}
-
 // AddROSpec registers a reader operation spec.
 func (c *Client) AddROSpec(cfg ROSpecConfig) error {
 	return c.requestStatus(MsgAddROSpec, EncodeROSpec(cfg), defaultRequestTimeout)
@@ -266,17 +250,7 @@ func (c *Client) StartROSpec(id uint32) error {
 	return c.requestStatus(MsgStartROSpec, EncodeROSpecID(id), defaultRequestTimeout)
 }
 
-// StopROSpec stops a running ROSpec.
-func (c *Client) StopROSpec(id uint32) error {
-	return c.requestStatus(MsgStopROSpec, EncodeROSpecID(id), defaultRequestTimeout)
-}
-
-// DeleteROSpec removes an ROSpec, stopping it if running.
-func (c *Client) DeleteROSpec(id uint32) error {
-	return c.requestStatus(MsgDeleteROSpec, EncodeROSpecID(id), defaultRequestTimeout)
-}
-
-// errDeliveryStopped ends a read loop whose owner refused a report: it
+// errDeliveryStopped ends a read loop whose owner refused a frame: it
 // is tearing the connection down, so Err reports no failure.
 var errDeliveryStopped = fmt.Errorf("llrp: report delivery stopped: %w", net.ErrClosed)
 
@@ -300,7 +274,7 @@ func (c *Client) readLoop() {
 const inboundBuffer = 16 << 10
 
 // dispatch routes inbound messages until a read, decode, or ack fails
-// or the sink refuses a report.
+// or the sink refuses a frame.
 func (c *Client) dispatch() error {
 	for {
 		if err := c.readFrame(); err != nil {
@@ -336,9 +310,9 @@ func (c *Client) readFrame() error {
 			// decoded report exists, so downstream stages inherit the
 			// reader-side origin instead of re-stamping on ingest.
 			c.batch[i].TraceID = c.tracer.Begin(obs.StageRead)
-			if !c.deliver(c.batch[i]) {
-				return errDeliveryStopped
-			}
+		}
+		if !c.deliver(c.batch) {
+			return errDeliveryStopped
 		}
 	case MsgKeepalive:
 		// LLRP requires the client to acknowledge keepalives or

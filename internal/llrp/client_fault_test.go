@@ -23,7 +23,7 @@ func TestClientCloseConcurrent(t *testing.T) {
 	var closed, late atomic.Bool
 	delivered := make(chan struct{}, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	c, err := dialClient(ctx, addr, nil, nil, func(reader.TagReport) bool {
+	c, err := dialClient(ctx, addr, nil, nil, func(batch []reader.TagReport) bool {
 		if closed.Load() {
 			late.Store(true)
 		}
@@ -33,7 +33,7 @@ func TestClientCloseConcurrent(t *testing.T) {
 		}
 		// A slow consumer keeps frames buffered behind the read loop
 		// when Close lands.
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(time.Duration(len(batch)) * 100 * time.Microsecond)
 		return true
 	})
 	cancel()

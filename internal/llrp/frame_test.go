@@ -46,7 +46,7 @@ func TestClientReadFrameAllocs(t *testing.T) {
 	c := &Client{
 		in:      bufio.NewReaderSize(&loopReader{b: frame}, inboundBuffer),
 		metrics: NewClientMetrics(nil),
-		deliver: func(reader.TagReport) bool { delivered++; return true },
+		deliver: func(batch []reader.TagReport) bool { delivered += len(batch); return true },
 	}
 	if err := c.readFrame(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package llrp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -75,8 +77,10 @@ type testClient struct {
 // instruments.
 func newTestClient(addr string, conn net.Conn, m *ClientMetrics) (*testClient, error) {
 	ch := make(chan reader.TagReport, 1024)
-	deliver := func(r reader.TagReport) bool {
-		ch <- r
+	deliver := func(batch []reader.TagReport) bool {
+		for _, r := range batch {
+			ch <- r
+		}
 		return true
 	}
 	var c *Client
@@ -96,6 +100,113 @@ func newTestClient(addr string, conn net.Conn, m *ClientMetrics) (*testClient, e
 		close(ch)
 	}()
 	return &testClient{Client: c, reports: ch}, nil
+}
+
+// rawConn is a bare LLRP conversation with the emulator: requests go
+// out with WriteMessage and replies come back with ReadMessage, with no
+// Client in between, so tests reach every ROSpec transition of the
+// emulator's state machine, including those the Client never asks for.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	id   uint32
+	// reports collects the tag reports of the RO_ACCESS_REPORT frames
+	// read so far.
+	reports []reader.TagReport
+}
+
+// dialRaw connects to addr, reads the reader's greeting, and closes the
+// connection when the test ends. Every read and write must finish
+// within 10 s.
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	hello, err := ReadMessage(conn)
+	if err != nil || hello.Type != MsgReaderEventNotification {
+		t.Fatalf("greeting: %v, %v", hello.Type, err)
+	}
+	return &rawConn{t: t, conn: conn}
+}
+
+// read reads one message, keeping the reports of a report frame and
+// acknowledging a keepalive. A read error (a deadline included) is
+// returned.
+func (rc *rawConn) read() (Message, error) {
+	m, err := ReadMessage(rc.conn)
+	if err != nil {
+		return m, err
+	}
+	switch m.Type {
+	case MsgROAccessReport:
+		batch, err := DecodeTagReports(m.Payload)
+		if err != nil {
+			rc.t.Fatalf("report frame: %v", err)
+		}
+		rc.reports = append(rc.reports, batch...)
+	case MsgKeepalive:
+		if err := WriteMessage(rc.conn, Message{Type: MsgKeepaliveAck, ID: m.ID}); err != nil {
+			rc.t.Fatal(err)
+		}
+	}
+	return m, nil
+}
+
+// request sends one message and returns the response that carries its
+// ID, reading past report frames and keepalives.
+func (rc *rawConn) request(typ MessageType, payload []byte) Message {
+	rc.t.Helper()
+	rc.id++
+	if err := WriteMessage(rc.conn, Message{Type: typ, ID: rc.id, Payload: payload}); err != nil {
+		rc.t.Fatal(err)
+	}
+	for {
+		m, err := rc.read()
+		if err != nil {
+			rc.t.Fatalf("awaiting %v response: %v", typ, err)
+		}
+		if m.ID == rc.id && m.Type != MsgROAccessReport && m.Type != MsgKeepalive {
+			return m
+		}
+	}
+}
+
+// status sends one message and returns its response's LLRPStatus as an
+// error: nil on success.
+func (rc *rawConn) status(typ MessageType, payload []byte) error {
+	rc.t.Helper()
+	code, desc, err := DecodeStatus(rc.request(typ, payload).Payload)
+	if err != nil {
+		rc.t.Fatalf("%v response: %v", typ, err)
+	}
+	if code != StatusSuccess {
+		return fmt.Errorf("%v: %v (%s)", typ, code, desc)
+	}
+	return nil
+}
+
+// mustStatus is status for a request that must succeed.
+func (rc *rawConn) mustStatus(typ MessageType, payload []byte) {
+	rc.t.Helper()
+	if err := rc.status(typ, payload); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+// awaitReports reads until at least n reports have arrived.
+func (rc *rawConn) awaitReports(n int) {
+	rc.t.Helper()
+	for len(rc.reports) < n {
+		if _, err := rc.read(); err != nil {
+			rc.t.Fatalf("%d of %d reports: %v", len(rc.reports), n, err)
+		}
+	}
 }
 
 // dialTest dials addr as newTestClient does and closes the client when
@@ -150,49 +261,47 @@ func TestClientServerLifecycle(t *testing.T) {
 		}
 	}
 
-	if err := c.StopROSpec(1); err != nil {
+	// The emulator stops and deletes the running ROSpec on request.
+	rc := dialRaw(t, addr)
+	rc.mustStatus(MsgAddROSpec, EncodeROSpec(ROSpecConfig{ROSpecID: 1, ReportEveryN: 8}))
+	rc.mustStatus(MsgEnableROSpec, EncodeROSpecID(1))
+	rc.mustStatus(MsgStartROSpec, EncodeROSpecID(1))
+	rc.awaitReports(8)
+	if err := rc.status(MsgStopROSpec, EncodeROSpecID(1)); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if err := c.DeleteROSpec(1); err != nil {
+	if err := rc.status(MsgDeleteROSpec, EncodeROSpecID(1)); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 }
 
 func TestROSpecStateMachineErrors(t *testing.T) {
 	addr := startServer(t, ServerConfig{})
-	c := dialTest(t, addr)
+	rc := dialRaw(t, addr)
 
-	if err := c.StartROSpec(9); err == nil {
+	if err := rc.status(MsgStartROSpec, EncodeROSpecID(9)); err == nil {
 		t.Error("start of unknown ROSpec must fail")
 	}
-	if err := c.EnableROSpec(9); err == nil {
+	if err := rc.status(MsgEnableROSpec, EncodeROSpecID(9)); err == nil {
 		t.Error("enable of unknown ROSpec must fail")
 	}
-	if err := c.AddROSpec(ROSpecConfig{ROSpecID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddROSpec(ROSpecConfig{ROSpecID: 2}); err == nil {
+	rc.mustStatus(MsgAddROSpec, EncodeROSpec(ROSpecConfig{ROSpecID: 2}))
+	if err := rc.status(MsgAddROSpec, EncodeROSpec(ROSpecConfig{ROSpecID: 2})); err == nil {
 		t.Error("duplicate add must fail")
 	}
-	if err := c.StartROSpec(2); err == nil {
+	if err := rc.status(MsgStartROSpec, EncodeROSpecID(2)); err == nil {
 		t.Error("start before enable must fail")
 	}
-	if err := c.StopROSpec(2); err == nil {
+	if err := rc.status(MsgStopROSpec, EncodeROSpecID(2)); err == nil {
 		t.Error("stop of non-running ROSpec must fail")
 	}
-	if err := c.EnableROSpec(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StartROSpec(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StartROSpec(2); err == nil {
+	rc.mustStatus(MsgEnableROSpec, EncodeROSpecID(2))
+	rc.mustStatus(MsgStartROSpec, EncodeROSpecID(2))
+	if err := rc.status(MsgStartROSpec, EncodeROSpecID(2)); err == nil {
 		t.Error("double start must fail")
 	}
-	if err := c.DeleteROSpec(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeleteROSpec(2); err == nil {
+	rc.mustStatus(MsgDeleteROSpec, EncodeROSpecID(2))
+	if err := rc.status(MsgDeleteROSpec, EncodeROSpecID(2)); err == nil {
 		t.Error("double delete must fail")
 	}
 }
@@ -266,44 +375,29 @@ func TestStopROSpecHaltsStream(t *testing.T) {
 		})
 	}
 	addr := startServer(t, ServerConfig{NewSource: endless})
-	c := dialTest(t, addr)
-	if err := c.AddROSpec(ROSpecConfig{ROSpecID: 1, ReportEveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableROSpec(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StartROSpec(1); err != nil {
-		t.Fatal(err)
-	}
+	rc := dialRaw(t, addr)
+	rc.mustStatus(MsgAddROSpec, EncodeROSpec(ROSpecConfig{ROSpecID: 1, ReportEveryN: 1}))
+	rc.mustStatus(MsgEnableROSpec, EncodeROSpecID(1))
+	rc.mustStatus(MsgStartROSpec, EncodeROSpecID(1))
 	// Receive a few reports, then stop.
-	for i := 0; i < 5; i++ {
-		select {
-		case <-c.reports:
-		case <-time.After(5 * time.Second):
-			t.Fatal("no reports from endless source")
-		}
-	}
-	if err := c.StopROSpec(1); err != nil {
-		t.Fatal(err)
-	}
-	// Drain whatever was in flight; the stream must go quiet.
-	deadline := time.After(2 * time.Second)
-	quietFor := time.NewTimer(500 * time.Millisecond)
+	rc.awaitReports(5)
+	rc.mustStatus(MsgStopROSpec, EncodeROSpecID(1))
+	// Drain whatever was in flight; the stream must go quiet: no
+	// message for 500 ms within 2 s.
+	deadline := time.Now().Add(2 * time.Second)
 	for {
-		select {
-		case _, ok := <-c.reports:
-			if !ok {
-				return // connection wound down; also acceptable
+		if time.Now().After(deadline) {
+			t.Fatal("reports kept flowing after STOP_ROSPEC")
+		}
+		if err := rc.conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.read(); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				return // stream went quiet: stop worked
 			}
-			if !quietFor.Stop() {
-				<-quietFor.C
-			}
-			quietFor.Reset(500 * time.Millisecond)
-		case <-quietFor.C:
-			return // stream went quiet: stop worked
-		case <-deadline:
-			t.Fatal("reports kept flowing after StopROSpec")
+			return // connection wound down; also acceptable
 		}
 	}
 }
@@ -376,8 +470,15 @@ func TestClientCloseIsClean(t *testing.T) {
 
 func TestReaderCapabilities(t *testing.T) {
 	addr := startServer(t, ServerConfig{})
-	c := dialTest(t, addr)
-	caps, err := c.ReaderCapabilities()
+	rc := dialRaw(t, addr)
+	resp := rc.request(MsgGetReaderCapabilities, nil)
+	if resp.Type != MsgGetReaderCapabilitiesResponse {
+		t.Fatalf("response type %v", resp.Type)
+	}
+	if code, desc, err := DecodeStatus(resp.Payload); err != nil || code != StatusSuccess {
+		t.Fatalf("status %v (%s), %v", code, desc, err)
+	}
+	caps, err := DecodeCapabilities(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,10 +85,13 @@ type SessionConfig struct {
 	Overload ReportsOverload
 	// Deliver, when set, receives every report in place of the Reports
 	// channel, which then stays nil (and Overload and ReportBuffer go
-	// unused). It runs on the connection's decode goroutine, one report
-	// at a time and in stream order, and must not block: a fleet hangs
-	// its never-blocking merge here.
-	Deliver func(r reader.TagReport)
+	// unused). It runs on the connection's decode goroutine, once per
+	// decoded frame with the frame's reports in stream order, each
+	// stamped with ReaderID, and must not block: a fleet hangs its
+	// never-blocking merge here. The slice and the reports in it are
+	// valid only for the duration of the call; the next frame reuses
+	// them.
+	Deliver func(batch []reader.TagReport)
 	// ROSpec is provisioned (add → enable → start) after every
 	// connect, so the report stream resumes without operator action.
 	// ROSpecID 0 is replaced with 1.
@@ -187,7 +190,7 @@ func (c *SessionConfig) fillDefaults() {
 // timestamp-ordered pipeline needs.
 //
 // Each live connection runs two goroutines: the client's decode loop,
-// which delivers every report straight onto Reports (or to
+// which delivers each decoded frame straight onto Reports (or to
 // SessionConfig.Deliver) under the overload policy, and the session's
 // supervisor, which waits the link out and runs the watchdog.
 //
@@ -423,7 +426,7 @@ func (s *Session) connect(ctx context.Context) (*Client, context.CancelFunc, err
 	actx, cancel := context.WithTimeout(ctx, s.cfg.DialTimeout)
 	defer cancel()
 	client, err := dialClient(actx, s.cfg.Addr, s.cfg.ClientMetrics, s.cfg.Tracer,
-		func(r reader.TagReport) bool { return s.deliver(lctx, r) })
+		func(batch []reader.TagReport) bool { return s.deliver(lctx, batch) })
 	if err != nil {
 		stop()
 		s.cfg.Metrics.ConnectFailures.With("dial").Inc()
@@ -488,28 +491,37 @@ func (s *Session) supervise(ctx context.Context, client *Client) {
 	}
 }
 
-// deliver hands one decoded report on: stamped with the reader's name,
-// to the Deliver hook when one is set, else onto the stable channel
-// under the overload policy. It runs on the connection's decode
-// goroutine; false means ctx (the connection's delivery context) ended
-// while the report waited for room.
+// deliver hands one decoded frame on: each report stamped in place
+// with the reader's name, then the frame to the Deliver hook when one
+// is set, else each report onto the stable channel under the overload
+// policy, after which the buffer gauges sample the channel's depth
+// once. It runs on the connection's decode goroutine; false means ctx
+// (the connection's delivery context) ended while a report waited for
+// room.
 //
-//tagbreathe:hotpath runs once per tag read on the connection's decode goroutine
-func (s *Session) deliver(ctx context.Context, r reader.TagReport) bool {
-	r.ReaderID = s.cfg.ReaderID
+//tagbreathe:hotpath runs once per frame on the connection's decode goroutine; its loops run per tag read
+func (s *Session) deliver(ctx context.Context, batch []reader.TagReport) bool {
+	for i := range batch {
+		batch[i].ReaderID = s.cfg.ReaderID
+	}
 	if s.cfg.Deliver != nil {
-		s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
-		s.cfg.Deliver(r)
+		for i := range batch {
+			s.cfg.Tracer.Stamp(batch[i].TraceID, obs.StageForward)
+		}
+		s.cfg.Deliver(batch)
 		return true
 	}
-	select {
-	case s.reports <- r:
-	default:
-		if !s.sendFull(ctx, r) {
-			return false
+	for i := range batch {
+		r := &batch[i]
+		select {
+		case s.reports <- *r:
+		default:
+			if !s.sendFull(ctx, r) {
+				return false
+			}
 		}
+		s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
 	}
-	s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
 	depth := float64(len(s.reports))
 	s.cfg.Metrics.ReportsBuffer.Set(depth)
 	s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
@@ -521,10 +533,10 @@ func (s *Session) deliver(ctx context.Context, r reader.TagReport) bool {
 // oldest buffered report (ReportsDropOldest). Each drop-oldest round
 // either sends or evicts, so progress is bounded even against a racing
 // consumer.
-func (s *Session) sendFull(ctx context.Context, r reader.TagReport) bool {
+func (s *Session) sendFull(ctx context.Context, r *reader.TagReport) bool {
 	if s.cfg.Overload == ReportsBlock {
 		select {
-		case s.reports <- r:
+		case s.reports <- *r:
 			return true
 		case <-ctx.Done():
 			return false
@@ -532,7 +544,7 @@ func (s *Session) sendFull(ctx context.Context, r reader.TagReport) bool {
 	}
 	for {
 		select {
-		case s.reports <- r:
+		case s.reports <- *r:
 			return true
 		default:
 		}
