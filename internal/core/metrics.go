@@ -21,9 +21,11 @@ type MonitorMetrics struct {
 	// MonitorStats.Dropped reads this counter.
 	Dropped *obs.Counter
 	// Processed counts reports fed into user engines by the shard
-	// workers — MonitorStats.Processed reads this counter. With
-	// Dropped it closes the accounting loop: admitted = processed +
-	// dropped after a drain.
+	// workers — MonitorStats.Processed reads this counter. Each worker
+	// adds its count once per span of its queue, so while it feeds the
+	// counter trails by less than one span (32 reports) per worker.
+	// With Dropped it closes the accounting loop: admitted = processed
+	// + dropped whenever the workers are idle.
 	Processed *obs.Counter
 	// Ticks counts analysis tick broadcasts.
 	Ticks *obs.Counter
