@@ -25,12 +25,18 @@ fmt:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
+# fuzz-smoke and bench-smoke run what CI's fuzz-smoke job and its
+# "Scaling benchmarks (smoke)" step run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMessage -fuzztime=10s -run '^$$' ./internal/llrp/
 	$(GO) test -fuzz=FuzzEngineFeed -fuzztime=10s -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzBinFuser -fuzztime=10s -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzSynthStream -fuzztime=10s -run '^$$' ./internal/sim/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateUsers|BenchmarkMonitorUsers' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeTagReports' -benchtime=1x ./internal/llrp
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamBandPassBlock' -benchtime=1x ./internal/sigproc
 
 # soak-smoke is the compressed graceful-degradation soak (~2 min wall):
 # 25 minutes of multi-user, multi-reader stream time at 30x through

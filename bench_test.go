@@ -63,11 +63,11 @@ func trimFloat(v float64) string {
 // users (3 tags each, Eq. 1 physics, 10-channel hopping) without the
 // Gen2 MAC simulator, so benchmark input size scales linearly with
 // user count — the "many readers, many rooms" aggregation workload the
-// sharded pipeline targets. It is a thin wrapper over the capacity
-// harness's generator (internal/sim.Synth, 16 bytes/user), so the
-// BENCH output and BENCH_capacity.json share one generation path;
-// sim's TestSynthMatchesReferenceGenerator pins the stream bit-for-bit
-// to the inline generator benchmarks used through PR 5.
+// sharded pipeline targets. It is a thin wrapper over
+// internal/sim.Synth (16 bytes of generator state per user), the
+// generator TestMonitorScale also drives; sim's
+// TestSynthMatchesReferenceGenerator pins the stream bit-for-bit to
+// the inline generator the benchmarks used before it.
 func synthMultiUserReports(users int, duration time.Duration, perTagHz float64) []tagbreathe.TagReport {
 	s, err := sim.NewSynth(sim.SynthConfig{Users: users, PerTagHz: perTagHz})
 	if err != nil {
@@ -120,10 +120,9 @@ func BenchmarkEstimateUsers(b *testing.B) {
 
 // BenchmarkMonitorUsers measures the sharded streaming monitor at
 // scale: reports per second of wall time through demux, the shard
-// worker pool, and the ordering collector. The 10⁵-user territory
-// lives in the capacity harness (cmd/tagbreathe-load,
-// BENCH_capacity.json); this benchmark prices the same path at bench
-// scale.
+// worker pool, and the ordering collector, in process. The LLRP wire
+// to the update at the paper's workload is priced by ledgerbench
+// (BENCHMARK.json).
 func BenchmarkMonitorUsers(b *testing.B) {
 	for _, users := range []int{8, 64, 512} {
 		reports := synthMultiUserReports(users, 30*time.Second, 8)

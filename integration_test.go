@@ -10,6 +10,7 @@ import (
 	"tagbreathe"
 	"tagbreathe/internal/llrp"
 	"tagbreathe/internal/reader"
+	"tagbreathe/internal/sim"
 )
 
 // TestMappingTableDeployment exercises §IV-C's fallback path end to
@@ -105,36 +106,16 @@ func TestLLRPFullSystem(t *testing.T) {
 	}
 
 	// Remote: the same scenario replayed over the wire.
-	srv, err := llrp.NewServer(llrp.ServerConfig{
-		NewSource: func() llrp.ReportSource {
-			return llrp.ReportSourceFunc(func(ctx context.Context, emit func(reader.TagReport) error) error {
-				return buildScenario().Stream(func(r reader.TagReport) {
-					if ctx.Err() == nil {
-						_ = emit(r)
-					}
-				}, nil)
-			})
-		},
+	addr := serveLLRP(t, func(ctx context.Context, emit func(reader.TagReport) error) error {
+		return buildScenario().Stream(func(r reader.TagReport) {
+			if ctx.Err() == nil {
+				_ = emit(r)
+			}
+		}, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	defer func() {
-		srv.Close()
-		<-done
-	}()
 
 	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
-		Addr:        ln.Addr().String(),
+		Addr:        addr,
 		ROSpec:      tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
 		MaxAttempts: 1,
 	})
@@ -192,4 +173,125 @@ collect:
 			t.Errorf("user %x: local %v vs wire %v bpm", uid, le.RateBPM, we.RateBPM)
 		}
 	}
+}
+
+// TestLLRPWireMonitorLossless drives 50 synthetic users (one tag each at
+// 2 Hz, 20 s) over a loopback LLRP session into a traced monitor under
+// OverloadBlock: every report the server emits must reach the monitor
+// and be processed, none dropped, updates must flow, and traces begun
+// at frame decode must complete, so their end-to-end figure includes
+// the read → ingest hop.
+func TestLLRPWireMonitorLossless(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wire round trip in -short mode")
+	}
+	const stream = 20 * time.Second
+	synthCfg := sim.SynthConfig{Users: 50, TagsPerUser: 1, PerTagHz: 2, Seed: 11}
+	probe, err := sim.NewSynth(synthCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := probe.Steps(stream)
+	total := steps * probe.ReportsPerStep()
+
+	addr := serveLLRP(t, func(ctx context.Context, emit func(reader.TagReport) error) error {
+		syn, err := sim.NewSynth(synthCfg)
+		if err != nil {
+			return err
+		}
+		var buf []reader.TagReport
+		for k := 0; k < steps; k++ {
+			buf = syn.Next(buf[:0])
+			for _, r := range buf {
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+		}
+		return ctx.Err()
+	})
+
+	tracer := tagbreathe.NewTracer(nil, tagbreathe.TracerConfig{SampleEvery: 64, RingSize: 4096})
+	m := tagbreathe.NewMonitor(tagbreathe.MonitorConfig{
+		Window:      10 * time.Second,
+		UpdateEvery: 5 * time.Second,
+		Tracer:      tracer,
+	})
+	defer m.Stop()
+	counted := make(chan int, 1)
+	go func() {
+		n := 0
+		for range m.Updates() {
+			n++
+		}
+		counted <- n
+	}()
+	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
+		Addr:        addr,
+		ROSpec:      tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
+		MaxAttempts: 1,
+		Tracer:      tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	deadline := time.After(time.Minute)
+	for received := 0; received < total; received++ {
+		select {
+		case r, ok := <-sess.Reports():
+			if !ok {
+				t.Fatalf("session ended at %d of %d reports: %v", received, total, sess.Err())
+			}
+			m.Ingest(r)
+		case <-deadline:
+			t.Fatalf("wire stalled at %d of %d reports", received, total)
+		}
+	}
+	// A reconnect would replay the stream from its start.
+	if n := sess.Reconnects(); n > 0 {
+		t.Fatalf("session reconnected %d times", n)
+	}
+	m.CloseInput()
+	if n := <-counted; n == 0 {
+		t.Error("no updates from the wire stream")
+	}
+	st := m.Stats()
+	if st.Processed != uint64(total) || st.Dropped != 0 {
+		t.Errorf("processed %d + dropped %d of %d reports under OverloadBlock", st.Processed, st.Dropped, total)
+	}
+	if tracer.Completed() == 0 {
+		t.Fatal("no wire trace completed")
+	}
+	if p50 := tracer.EndToEnd().Quantile(0.50); p50 <= 0 {
+		t.Errorf("e2e p50 %g s, want > 0", p50)
+	}
+}
+
+// serveLLRP serves the reader emulator on a loopback port until the
+// test ends, each ROSpec run streaming from a fresh call of src, and
+// returns its address.
+func serveLLRP(t *testing.T, src func(ctx context.Context, emit func(reader.TagReport) error) error) string {
+	t.Helper()
+	srv, err := llrp.NewServer(llrp.ServerConfig{
+		NewSource: func() llrp.ReportSource { return llrp.ReportSourceFunc(src) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return ln.Addr().String()
 }

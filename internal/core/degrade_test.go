@@ -237,9 +237,10 @@ const (
 // The producer ingests the stream a stream second at a time (128
 // reports of the dual-vantage stream). Before each second it waits
 // until the worker has fed or shed everything ingested so far, unless
-// the worker is held. From warmupUntil on, each analyzed tick holds
-// the worker until the producer has ingested overloadHold more seconds
-// of stream: three seconds, ~383 reports, against a 320-deep queue,
+// the worker is held. From warmup on, each analyzed tick holds the
+// worker until the producer has ingested hold more seconds of stream.
+// The acceptance pair holds from warmupUntil for overloadHold: three
+// seconds, ~383 reports, against a 320-deep queue,
 // queued behind a worker that takes none of them. Three seconds is as
 // far as a held tick can lead: the ticks channel between the router
 // and the collector holds two ticks, so a third broadcast would block
@@ -252,6 +253,8 @@ const (
 // there, and the held burst's primary reports fit in the headroom
 // above it.
 type overloadStepper struct {
+	warmup, hold time.Duration
+
 	mu   sync.Mutex
 	cond sync.Cond
 	// fed is the stream time before which every report is ingested;
@@ -261,20 +264,20 @@ type overloadStepper struct {
 	done          bool
 }
 
-func newOverloadStepper() *overloadStepper {
-	s := &overloadStepper{}
+func newOverloadStepper(warmup, hold time.Duration) *overloadStepper {
+	s := &overloadStepper{warmup: warmup, hold: hold}
 	s.cond.L = &s.mu
 	return s
 }
 
 // tickWork is the worker's testTickWork hook.
 func (s *overloadStepper) tickWork(asOf time.Duration) {
-	if asOf < warmupUntil {
+	if asOf < s.warmup {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.holdTill = asOf + overloadHold
+	s.holdTill = asOf + s.hold
 	for !s.done && s.fed < s.holdTill {
 		s.cond.Wait()
 	}
@@ -318,7 +321,7 @@ func (s *overloadStepper) awaitWorker(m *Monitor) {
 // from cfg with the stepped hold, and returns it drained, with its
 // updates.
 func runOverload(cfg MonitorConfig) (*Monitor, []RateUpdate) {
-	st := newOverloadStepper()
+	st := newOverloadStepper(warmupUntil, overloadHold)
 	cfg.testTickWork = st.tickWork
 	m := NewMonitor(cfg)
 	get, done := collectUpdates(m)

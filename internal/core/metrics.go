@@ -86,7 +86,7 @@ type MonitorMetrics struct {
 	DegradedWorkers *obs.Gauge
 	// TicksSkipped counts per-worker tick deliveries skipped under
 	// tick stretch. Against Ticks × ShardWorkers it is the
-	// degraded-tick occupancy the capacity model records.
+	// degraded-tick occupancy.
 	TicksSkipped *obs.Counter
 	// ShedByClass partitions Dropped by shed class (unknown, primary,
 	// redundant): quality-aware shedding's proof that redundant
@@ -177,10 +177,10 @@ func NewMonitorMetrics(r *obs.Registry) *MonitorMetrics {
 }
 
 // ShardTickBuckets resolves the per-user incremental tick, which the
-// streaming engine holds in the tens of microseconds (see
-// BENCH_monitor_tick.json) — far below obs.DefBuckets' 0.5 ms floor.
-// The capacity model's tick p99 comes from this histogram, so the grid
-// runs 1 µs → ~0.26 s in powers of four.
+// streaming engine holds in the microseconds (BenchmarkMonitorTickWindow)
+// — far below obs.DefBuckets' 0.5 ms floor. The ledger's
+// monitor.tick_p50_us and monitor.tick_p99_us come from this
+// histogram, so the grid runs 1 µs → ~0.26 s in powers of four.
 var ShardTickBuckets = []float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3,
 }

@@ -56,10 +56,10 @@ type MonitorConfig struct {
 	// ShardWorkers sizes the shard worker pool — the event-loop
 	// goroutines that own the per-user engines. Default GOMAXPROCS.
 	// The pool is the monitor's scale lever: per-user cost is an
-	// engine (a few KB), not a goroutine + queue, so one process holds
-	// hundreds of thousands of users (see BENCH_capacity.json). 1
-	// gives the sequential reference path the equivalence tests
-	// compare against.
+	// engine (a few KB), not a goroutine + queue, so the process's
+	// goroutine count stays O(workers) whatever the user count
+	// (TestMonitorScale). 1 gives the sequential reference path the
+	// equivalence tests compare against.
 	ShardWorkers int
 	// Overload selects the routing policy when a shard worker's queue
 	// is full: OverloadBlock (default, lossless backpressure) or
@@ -181,9 +181,9 @@ type RateUpdate struct {
 // to it (Eq. 3 differencer, fused bins, antenna metadata): exactly one
 // goroutine ever touches a user's engine, so the single-writer-per-
 // user invariant of the original goroutine-per-user design holds with
-// O(workers) goroutines and queues instead of O(users) — the
-// difference between ~10⁴ and >10⁵ sustainable users per process (see
-// BENCH_capacity.json). On every UpdateEvery boundary of stream time
+// O(workers) goroutines and queues instead of O(users), which saves
+// a goroutine stack and a queue (~30 KB) per user (DESIGN.md §11).
+// On every UpdateEvery boundary of stream time
 // the router broadcasts a tick; workers analyze their users in
 // parallel and a collector emits the tick's updates in stream-time
 // order (and user-ID order within a tick), so the output is globally
@@ -559,7 +559,7 @@ func (m *Monitor) workerLoop(wi int, q *shardRing) {
 			heldAge := 0.0
 			warmFill := 1.0
 			for _, eng := range order {
-				start := time.Now() //tagbreathe:allow hotpath per-(user, tick) instrumentation feeding the capacity model's tick p99; reports are the per-event unit
+				start := time.Now() //tagbreathe:allow hotpath per-(user, tick) instrumentation feeding the tick quantiles (monitor.tick_p99_us); reports are the per-event unit
 				if up, ok := eng.TickUpdate(asOf); ok {
 					up.Time = tick.asOf
 					up.TickStretch = stretch

@@ -46,7 +46,8 @@ func awaitAccounted(t *testing.T, m *Monitor, what string) {
 // Processed once per span, so processed + dropped must equal ingested
 // whenever the workers are idle. The stream arrives in bursts of odd
 // sizes, so workers go idle partway into the ring and between spans,
-// with 1, 2 and 4 workers, lossless and with drop-newest sheds.
+// with 1, 2 and 4 workers, lossless and with drop-newest sheds. A last
+// case sheds while the degradation ladder stretches the tick cadence.
 func TestProcessedExactAtQuiescence(t *testing.T) {
 	stream := accountingStream(30)
 	bursts := []int{1, 7, 45, 3, 100, 31, 33, 64, 333}
@@ -90,6 +91,45 @@ func TestProcessedExactAtQuiescence(t *testing.T) {
 			})
 		}
 	}
+
+	// Drop-newest with the ladder armed: every analyzed tick holds the
+	// worker for two stream seconds (192 reports against a 128-deep
+	// queue), stepped with the producer as the overload acceptance test
+	// steps it, so the tick put behind a hold finds the queue past the
+	// ladder's engage mark (64) and the held reports overflow it.
+	t.Run("workers=1/policy=1/stretch=8", func(t *testing.T) {
+		st := newOverloadStepper(0, 2*time.Second)
+		m := NewMonitor(MonitorConfig{
+			Pipeline:     Config{Filter: FilterFIRStreaming},
+			Window:       5 * time.Second,
+			UpdateEvery:  time.Second,
+			ShardWorkers: 1,
+			ShardQueue:   128,
+			Overload:     OverloadDropNewest,
+			Degrade:      DegradeConfig{MaxStretch: 8},
+			testTickWork: st.tickWork,
+		})
+		_, done := collectUpdates(m)
+		st.feed(m, stream)
+		awaitAccounted(t, m, "after the stepped feed")
+		m.CloseInput()
+		<-done
+		m.wg.Wait()
+		s := m.Stats()
+		if in := m.metrics.Ingested.Value(); in != uint64(len(stream)) || s.Processed+s.Dropped != in {
+			t.Fatalf("at close: processed %d + dropped %d, ingested %d of %d", s.Processed, s.Dropped, in, len(stream))
+		}
+		if s.Dropped == 0 {
+			t.Error("no report was shed; the held ticks never overflowed the queue")
+		}
+		if s.PeakStretch < 2 {
+			t.Errorf("peak stretch %d, want ≥ 2: the ladder never engaged", s.PeakStretch)
+		}
+		if s.SkippedTicks == 0 {
+			t.Error("no tick delivery skipped despite a stretched cadence")
+		}
+		t.Logf("dropped %d of %d, peak stretch %d, %d tick deliveries skipped", s.Dropped, len(stream), s.PeakStretch, s.SkippedTicks)
+	})
 }
 
 // TestProcessedFlushedBeforeTick holds the only worker in its first

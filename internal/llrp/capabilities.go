@@ -1,9 +1,6 @@
 package llrp
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Capabilities is the subset of reader capabilities the emulator
 // reports: identity and the dimensions a host needs to configure an
@@ -43,36 +40,4 @@ func EncodeCapabilities(c Capabilities) []byte {
 	body = binary.BigEndian.AppendUint16(body, uint16(len(c.ModelName)))
 	body = append(body, c.ModelName...)
 	return appendTLV(nil, paramCapabilities, body)
-}
-
-// DecodeCapabilities parses the capabilities TLV out of a
-// GET_READER_CAPABILITIES_RESPONSE payload.
-func DecodeCapabilities(payload []byte) (Capabilities, error) {
-	it := tlvIter{rest: payload}
-	for {
-		t, body, ok, err := it.next()
-		if err != nil {
-			return Capabilities{}, err
-		}
-		if !ok {
-			return Capabilities{}, fmt.Errorf("llrp: response carries no capabilities parameter")
-		}
-		if t != paramCapabilities {
-			continue
-		}
-		if len(body) < 8 {
-			return Capabilities{}, fmt.Errorf("llrp: short capabilities body")
-		}
-		c := Capabilities{
-			AntennaCount:  binary.BigEndian.Uint16(body[0:2]),
-			ChannelCount:  binary.BigEndian.Uint16(body[2:4]),
-			MaxTxPowerDBm: binary.BigEndian.Uint16(body[4:6]),
-		}
-		n := int(binary.BigEndian.Uint16(body[6:8]))
-		if 8+n > len(body) {
-			return Capabilities{}, fmt.Errorf("llrp: capabilities name overruns body")
-		}
-		c.ModelName = string(body[8 : 8+n])
-		return c, nil
-	}
 }

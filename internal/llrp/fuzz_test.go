@@ -88,7 +88,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		fresh, ferr := DecodeTagReports(m.Payload)
 		_, _ = DecodeROSpec(m.Payload)
 		_, _ = DecodeROSpecID(m.Payload)
-		_, _ = DecodeCapabilities(m.Payload)
 
 		// The read loop decodes each frame onto the previous frame's
 		// reports: whatever the reused array held must not leak into

@@ -150,8 +150,8 @@ func (h *Histogram) Sum() float64 {
 // interpolate from), the last finite bound if the rank lands in the
 // +Inf overflow bucket, and NaN when the histogram is empty or nil.
 // The estimate is monotone in q and safe to call concurrently with
-// Observe (a racing read may mix observations across buckets; capacity
-// sweeps read after their load phase drains, so the skew is zero
+// Observe (a racing read may mix observations across buckets; the
+// ledger reads after its load phase drains, so the skew is zero
 // there).
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {

@@ -304,7 +304,7 @@ func (t *Tracer) Complete(id uint64) {
 }
 
 // EndToEnd exposes the report→update latency histogram so harnesses
-// (the capacity sweep) can read quantiles without a registry scrape.
+// and tests can read quantiles without a registry scrape.
 func (t *Tracer) EndToEnd() *Histogram {
 	if t == nil {
 		return nil

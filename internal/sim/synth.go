@@ -19,8 +19,8 @@ import (
 // with no allocations, and the stream is globally timestamp-ordered the
 // way a fleet of readers would deliver it. With the zero-value knobs it
 // reproduces, bit for bit, the reference generator the scaling
-// benchmarks have used since PR 1, so benchmark history and the
-// capacity model share one generation path.
+// benchmarks have always used, so their history stays comparable; the
+// ledger benchmark and TestMonitorScale drive the same generator.
 
 // SynthConfig parameterizes a synthetic multi-user report stream. The
 // zero value of every field but Users selects the reference defaults
@@ -109,8 +109,8 @@ func (c *SynthConfig) fillDefaults() {
 
 // synthUser is the entire per-user state: the breathing oscillator's
 // rate and phase offset. 16 bytes — the property that lets one process
-// hold hundreds of thousands of users and the capacity harness place
-// its memory measurements on the pipeline rather than the generator.
+// hold hundreds of thousands of users and a memory measurement charge
+// the pipeline rather than the generator.
 type synthUser struct {
 	rateHz float64
 	phase0 float64

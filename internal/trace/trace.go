@@ -10,6 +10,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -79,9 +80,11 @@ func WriteAll(w io.Writer, reports []reader.TagReport) error {
 
 // ReadAll parses a recorded trace. Reports are returned in file order;
 // recorded traces are timestamp-ordered because readers emit them that
-// way, and the pipeline requires it. Parse errors name the offending
-// line of the file so a bad row in a multi-hour capture can be found
-// and fixed without bisecting.
+// way, and the pipeline requires it, so a row stamped earlier than the
+// row before it is an error. So is a value the pipeline's reports never
+// carry: NaN or ±Inf in a float column, or a phase outside [0, 2π).
+// Errors name the offending line of the file so a bad row in a
+// multi-hour capture can be found and fixed without bisecting.
 func ReadAll(r io.Reader) ([]reader.TagReport, error) {
 	cr := csv.NewReader(r)
 	// Column counts are validated per row below so the error can name
@@ -106,6 +109,7 @@ func ReadAll(r io.Reader) ([]reader.TagReport, error) {
 	}
 
 	out := make([]reader.TagReport, 0, 64)
+	prev := time.Duration(math.MinInt64)
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -123,15 +127,32 @@ func ReadAll(r io.Reader) ([]reader.TagReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
+		if rep.Timestamp < prev {
+			return nil, fmt.Errorf("trace: line %d: timestamp %v is earlier than the previous row's %v",
+				line, rep.Timestamp, prev)
+		}
+		prev = rep.Timestamp
 		out = append(out, rep)
 	}
 }
 
+// parseFloat parses one float column, which must be finite.
+func parseFloat(name, field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s: %v is not finite", name, v)
+	}
+	return v, nil
+}
+
 func parseRow(row []string) (reader.TagReport, error) {
 	var rep reader.TagReport
-	ts, err := strconv.ParseFloat(row[0], 64)
+	ts, err := parseFloat("timestamp", row[0])
 	if err != nil {
-		return rep, fmt.Errorf("timestamp: %w", err)
+		return rep, err
 	}
 	rep.Timestamp = time.Duration(ts * float64(time.Second))
 	rep.EPC, err = epc.ParseEPC96(row[1])
@@ -144,23 +165,26 @@ func parseRow(row []string) (reader.TagReport, error) {
 	if rep.ChannelIndex, err = strconv.Atoi(row[3]); err != nil {
 		return rep, fmt.Errorf("channel: %w", err)
 	}
-	freq, err := strconv.ParseFloat(row[4], 64)
+	freq, err := parseFloat("frequency", row[4])
 	if err != nil {
-		return rep, fmt.Errorf("frequency: %w", err)
+		return rep, err
 	}
 	rep.Frequency = units.Hertz(freq)
-	rssi, err := strconv.ParseFloat(row[5], 64)
+	rssi, err := parseFloat("rssi", row[5])
 	if err != nil {
-		return rep, fmt.Errorf("rssi: %w", err)
+		return rep, err
 	}
 	rep.RSSI = units.DBm(rssi)
-	phase, err := strconv.ParseFloat(row[6], 64)
+	phase, err := parseFloat("phase", row[6])
 	if err != nil {
-		return rep, fmt.Errorf("phase: %w", err)
+		return rep, err
+	}
+	if phase < 0 || phase >= 2*math.Pi {
+		return rep, fmt.Errorf("phase: %v rad is outside [0, 2π)", phase)
 	}
 	rep.Phase = units.Radians(phase)
-	if rep.DopplerHz, err = strconv.ParseFloat(row[7], 64); err != nil {
-		return rep, fmt.Errorf("doppler: %w", err)
+	if rep.DopplerHz, err = parseFloat("doppler", row[7]); err != nil {
+		return rep, err
 	}
 	return rep, nil
 }

@@ -137,6 +137,41 @@ func TestReadAllErrorsNameLine(t *testing.T) {
 	}
 }
 
+// TestReadAllRejectsWhatThePipelineForbids: a trace row must carry a
+// report the pipeline accepts, so each class of value it forbids is an
+// error naming the row's line.
+func TestReadAllRejectsWhatThePipelineForbids(t *testing.T) {
+	hdr := strings.Join(header, ",")
+	good := "1.0,000000000000000000000001,1,0,920000000,-50,1.0,0.0"
+	for _, tc := range []struct {
+		name, row, want string
+	}{
+		{"NaN timestamp", "NaN,000000000000000000000001,1,0,920000000,-50,1.0,0.0", "timestamp: NaN is not finite"},
+		{"Inf frequency", "1.0,000000000000000000000001,1,0,+Inf,-50,1.0,0.0", "frequency: +Inf is not finite"},
+		{"-Inf rssi", "1.0,000000000000000000000001,1,0,920000000,-Inf,1.0,0.0", "rssi: -Inf is not finite"},
+		{"NaN phase", "1.0,000000000000000000000001,1,0,920000000,-50,NaN,0.0", "phase: NaN is not finite"},
+		{"Inf doppler", "1.0,000000000000000000000001,1,0,920000000,-50,1.0,Inf", "doppler: +Inf is not finite"},
+		{"negative phase", "1.0,000000000000000000000001,1,0,920000000,-50,-0.1,0.0", "outside [0, 2π)"},
+		{"phase of 2π", "1.0,000000000000000000000001,1,0,920000000,-50,6.2831854,0.0", "outside [0, 2π)"},
+		{"phase past 2π", "1.0,000000000000000000000001,1,0,920000000,-50,9.5,0.0", "outside [0, 2π)"},
+		{"timestamp going back", "0.5,000000000000000000000001,1,0,920000000,-50,1.0,0.0", "earlier than the previous row"},
+	} {
+		_, err := ReadAll(strings.NewReader(hdr + "\n" + good + "\n" + tc.row + "\n"))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want line 3 and %q", tc.name, err, tc.want)
+		}
+	}
+	// The bounds themselves: phase 0, a repeated timestamp.
+	if _, err := ReadAll(strings.NewReader(hdr + "\n" + good + "\n" +
+		"1.0,000000000000000000000001,1,0,920000000,-50,0,0.0\n")); err != nil {
+		t.Errorf("phase 0 at a repeated timestamp: %v", err)
+	}
+}
+
 func TestReadAllHeaderOnly(t *testing.T) {
 	// A capture that ended before any reports is a valid empty trace.
 	out, err := ReadAll(strings.NewReader(strings.Join(header, ",") + "\n"))

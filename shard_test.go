@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tagbreathe"
+	"tagbreathe/internal/sim"
 )
 
 // multiUserScenario simulates the Fig. 13 side-by-side layout: n users
@@ -80,35 +81,58 @@ func TestEstimateShardedDeterministic(t *testing.T) {
 }
 
 // TestMonitorShardedDeterministicAndOrdered guards the monitor's
-// demux → shard → collector pipeline: replaying the same stream must
-// yield the identical update sequence, globally ordered by stream time
-// and by user ID within a tick, regardless of shard scheduling.
+// demux → shard → collector pipeline: the same stream through the
+// sequential reference (one worker) and an eight-worker pool, twice,
+// must yield the identical update sequence — same users, same ticks,
+// same floats — globally ordered by stream time and by user ID within
+// a tick, regardless of shard scheduling. The inputs are a three-user
+// scenario and 1k synthetic users (one tag each at 2 Hz).
 func TestMonitorShardedDeterministicAndOrdered(t *testing.T) {
 	res := multiUserScenario(t, 3, 44)
-	cfg := tagbreathe.MonitorConfig{UpdateEvery: 5 * time.Second}
-
-	first, err := tagbreathe.MonitorStream(res.Reports, cfg)
+	syn, err := sim.NewSynth(sim.SynthConfig{Users: 1000, TagsPerUser: 1, PerTagHz: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) == 0 {
-		t.Fatal("no updates")
-	}
-	for i := 1; i < len(first); i++ {
-		a, b := first[i-1], first[i]
-		if b.Time < a.Time {
-			t.Fatalf("update %d time %v regressed below %v", i, b.Time, a.Time)
-		}
-		if b.Time == a.Time && b.UserID <= a.UserID {
-			t.Fatalf("update %d user %x out of order within tick at %v", i, b.UserID, b.Time)
-		}
-	}
-	again, err := tagbreathe.MonitorStream(res.Reports, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Fatal("monitor replay diverged between runs")
+	for _, tc := range []struct {
+		name    string
+		reports []tagbreathe.TagReport
+		cfg     tagbreathe.MonitorConfig
+	}{
+		{"scenario", res.Reports, tagbreathe.MonitorConfig{UpdateEvery: 5 * time.Second}},
+		{"synth1k", syn.Generate(20 * time.Second),
+			tagbreathe.MonitorConfig{Window: 10 * time.Second, UpdateEvery: 5 * time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first []tagbreathe.RateUpdate
+			for run, workers := range []int{1, 8, 8} {
+				cfg := tc.cfg
+				cfg.ShardWorkers = workers
+				ups, err := tagbreathe.MonitorStream(tc.reports, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if run > 0 {
+					if !reflect.DeepEqual(first, ups) {
+						t.Fatalf("run %d (%d workers) diverged from the one-worker run: %d vs %d updates",
+							run+1, workers, len(ups), len(first))
+					}
+					continue
+				}
+				first = ups
+				if len(first) == 0 {
+					t.Fatal("no updates")
+				}
+				for i := 1; i < len(first); i++ {
+					a, b := first[i-1], first[i]
+					if b.Time < a.Time {
+						t.Fatalf("update %d time %v regressed below %v", i, b.Time, a.Time)
+					}
+					if b.Time == a.Time && b.UserID <= a.UserID {
+						t.Fatalf("update %d user %x out of order within tick at %v", i, b.UserID, b.Time)
+					}
+				}
+			}
+		})
 	}
 }
 
