@@ -46,8 +46,7 @@ func awaitAccounted(t *testing.T, m *Monitor, what string) {
 // Processed once per span, so processed + dropped must equal ingested
 // whenever the workers are idle. The stream arrives in bursts of odd
 // sizes, so workers go idle partway into the ring and between spans,
-// with 1, 2 and 4 workers, lossless and with drop-newest sheds. A last
-// case sheds while the degradation ladder stretches the tick cadence.
+// with 1, 2 and 4 workers, lossless and with drop-newest sheds.
 func TestProcessedExactAtQuiescence(t *testing.T) {
 	stream := accountingStream(30)
 	bursts := []int{1, 7, 45, 3, 100, 31, 33, 64, 333}
@@ -91,45 +90,100 @@ func TestProcessedExactAtQuiescence(t *testing.T) {
 			})
 		}
 	}
+}
 
-	// Drop-newest with the ladder armed: every analyzed tick holds the
-	// worker for two stream seconds (192 reports against a 128-deep
-	// queue), stepped with the producer as the overload acceptance test
-	// steps it, so the tick put behind a hold finds the queue past the
-	// ladder's engage mark (64) and the held reports overflow it.
-	t.Run("workers=1/policy=1/stretch=8", func(t *testing.T) {
-		st := newOverloadStepper(0, 2*time.Second)
-		m := NewMonitor(MonitorConfig{
-			Pipeline:     Config{Filter: FilterFIRStreaming},
-			Window:       5 * time.Second,
-			UpdateEvery:  time.Second,
-			ShardWorkers: 1,
-			ShardQueue:   128,
-			Overload:     OverloadDropNewest,
-			Degrade:      DegradeConfig{MaxStretch: 8},
-			testTickWork: st.tickWork,
-		})
-		_, done := collectUpdates(m)
-		st.feed(m, stream)
-		awaitAccounted(t, m, "after the stepped feed")
-		m.CloseInput()
-		<-done
-		m.wg.Wait()
-		s := m.Stats()
-		if in := m.metrics.Ingested.Value(); in != uint64(len(stream)) || s.Processed+s.Dropped != in {
-			t.Fatalf("at close: processed %d + dropped %d, ingested %d of %d", s.Processed, s.Dropped, in, len(stream))
-		}
-		if s.Dropped == 0 {
-			t.Error("no report was shed; the held ticks never overflowed the queue")
-		}
-		if s.PeakStretch < 2 {
-			t.Errorf("peak stretch %d, want ≥ 2: the ladder never engaged", s.PeakStretch)
-		}
-		if s.SkippedTicks == 0 {
-			t.Error("no tick delivery skipped despite a stretched cadence")
-		}
-		t.Logf("dropped %d of %d, peak stretch %d, %d tick deliveries skipped", s.Dropped, len(stream), s.PeakStretch, s.SkippedTicks)
+// TestDropAccountingAtSaturation: with one-slot worker queues under
+// OverloadDropNewest the router must shed, and the drops counter must
+// equal the observed loss exactly — ingested = processed + dropped,
+// nothing vanishes, nothing is counted twice — with the drops
+// partitioned by shed class. Every analyzed tick holds the workers for
+// the rest of its stream second, stepped with the producer, so the
+// held second's reports meet full queues on any host.
+func TestDropAccountingAtSaturation(t *testing.T) {
+	var stream []reader.TagReport
+	for uid := uint64(1); uid <= 24; uid++ {
+		stream = append(stream, handoffStream(uid, "", 8+float64(uid%12), 20)...)
+	}
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Timestamp < stream[j].Timestamp })
+	st := newOverloadStepper(0, 500*time.Millisecond)
+	m := NewMonitor(MonitorConfig{
+		Pipeline:     Config{Filter: FilterFIRStreaming},
+		Window:       5 * time.Second,
+		UpdateEvery:  time.Second,
+		ShardWorkers: 2,
+		ShardQueue:   1,
+		Overload:     OverloadDropNewest,
+		testTickWork: st.tickWork,
 	})
+	_, done := collectUpdates(m)
+	st.feed(m, stream)
+	awaitAccounted(t, m, "after the stepped feed")
+	m.CloseInput()
+	<-done
+	m.wg.Wait()
+	s := m.Stats()
+	in := m.metrics.Ingested.Value()
+	if in != uint64(len(stream)) {
+		t.Fatalf("ingested %d of %d", in, len(stream))
+	}
+	if s.Dropped == 0 {
+		t.Error("one-slot queues shed nothing; saturation not reached")
+	}
+	if s.Dropped != in-s.Processed {
+		t.Errorf("drops counter %d != observed loss %d", s.Dropped, in-s.Processed)
+	}
+	var byClass uint64
+	for _, n := range s.ShedByClass {
+		byClass += n
+	}
+	if byClass != s.Dropped {
+		t.Errorf("shed classes sum to %d, drops counter %d", byClass, s.Dropped)
+	}
+	t.Logf("dropped %d of %d", s.Dropped, len(stream))
+}
+
+// TestDegradationFiguresUnderStretch: drop-newest with the ladder
+// armed must engage tick stretch and record a non-zero degraded-tick
+// occupancy while processed + dropped = ingested stays exact under
+// stretch. Every analyzed tick holds the worker for two stream seconds
+// (192 reports against a 128-deep queue), stepped with the producer as
+// the overload acceptance test steps it, so the tick put behind a hold
+// finds the queue past the ladder's engage mark (64) and the held
+// reports overflow it.
+func TestDegradationFiguresUnderStretch(t *testing.T) {
+	stream := accountingStream(30)
+	st := newOverloadStepper(0, 2*time.Second)
+	m := NewMonitor(MonitorConfig{
+		Pipeline:     Config{Filter: FilterFIRStreaming},
+		Window:       5 * time.Second,
+		UpdateEvery:  time.Second,
+		ShardWorkers: 1,
+		ShardQueue:   128,
+		Overload:     OverloadDropNewest,
+		Degrade:      DegradeConfig{MaxStretch: 8},
+		testTickWork: st.tickWork,
+	})
+	_, done := collectUpdates(m)
+	st.feed(m, stream)
+	awaitAccounted(t, m, "after the stepped feed")
+	m.CloseInput()
+	<-done
+	m.wg.Wait()
+	s := m.Stats()
+	if in := m.metrics.Ingested.Value(); in != uint64(len(stream)) || s.Processed+s.Dropped != in {
+		t.Fatalf("at close: processed %d + dropped %d, ingested %d of %d", s.Processed, s.Dropped, in, len(stream))
+	}
+	if s.Dropped == 0 {
+		t.Error("no report was shed; the held ticks never overflowed the queue")
+	}
+	if s.PeakStretch < 2 {
+		t.Errorf("peak stretch %d, want ≥ 2: the ladder never engaged", s.PeakStretch)
+	}
+	if s.Ticks == 0 || s.SkippedTicks == 0 {
+		t.Errorf("degraded-tick occupancy %d/%d, want > 0 under a stretched cadence", s.SkippedTicks, s.Ticks)
+	}
+	t.Logf("dropped %d of %d, peak stretch %d, degraded-tick occupancy %d/%d",
+		s.Dropped, len(stream), s.PeakStretch, s.SkippedTicks, s.Ticks)
 }
 
 // TestProcessedFlushedBeforeTick holds the only worker in its first
