@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fmt vuln fuzz-smoke bench-smoke soak-smoke soak-full
+.PHONY: build test race lint fmt vuln fuzz-smoke bench-smoke soak-smoke soak-full experiments-golden
 
 build:
 	$(GO) build ./...
@@ -53,3 +53,14 @@ soak-smoke:
 # the run's degradation summary to the checked-in trend history.
 soak-full:
 	TAGBREATHE_SOAK=realtime $(GO) test -race -count=1 -timeout 2h -run TestSoakCompressed -v ./internal/soak/
+
+# experiments-golden reruns every experiment that runs on stream time
+# (all but the wall-clock chaos and soak studies) and diffs the output
+# against the checked-in experiments_output.txt: the paper's
+# evaluation as this repository reproduces it, byte for byte (~45 s on
+# 2 vCPUs). A change that moves a figure regenerates the file and
+# names the moved rows in CHANGES.md. CI runs this target.
+GOLDEN_EXPERIMENTS = fig2-8,table1,fig12,fig13,fig14,fig15,fig16,fig17,radar,ablation,filter,window,channels,select,sessions,heart,motion,tagmodels,los,txpower,tags
+
+experiments-golden:
+	$(GO) run ./cmd/experiments -trials 12 -only $(GOLDEN_EXPERIMENTS) | diff -u experiments_output.txt -

@@ -129,6 +129,12 @@ func run(opt experiments.Options, enabled func(string) bool) error {
 		fmt.Printf("  read rate: %.1f Hz (paper: ~64 Hz)\n", ch.ReadRateHz)
 		fmt.Printf("  true rate %.2f bpm, extracted %.2f bpm, crossings %d\n",
 			ch.TrueRateBPM, ch.EstimatedRateBPM, len(ch.Crossings))
+		var sum float64
+		for _, v := range ch.RealtimeBPM {
+			sum += v
+		}
+		fmt.Printf("  Eq. 5 realtime rate (M = 7): %d estimates, mean %.2f bpm\n",
+			len(ch.RealtimeBPM), sum/float64(max(len(ch.RealtimeBPM), 1)))
 		peakF, peakM := 0.0, 0.0
 		for i, f := range ch.SpectrumFreqs {
 			if f >= 0.05 && f <= 0.67 && ch.SpectrumMags[i] > peakM {

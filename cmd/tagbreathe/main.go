@@ -567,7 +567,7 @@ func analyze(reports []tagbreathe.TagReport, truth map[uint64]float64, userIDs [
 				s.Breaths, s.MeanRateBPM, s.RateStdBPM, s.DepthCV, s.MeanIERatio, len(s.Apneas))
 		}
 		if o.heart {
-			if h, err := tagbreathe.EstimateHeartRate(reports, uid, cfg); err == nil {
+			if h, err := tagbreathe.EstimateHeartRate(reports, uid); err == nil {
 				verdict := "unreliable (below commodity noise floor)"
 				if h.PeakProminence >= 3 {
 					verdict = "confident"

@@ -121,16 +121,14 @@ func (e *DopplerEstimator) EstimateBPM(reports []reader.TagReport, userID uint64
 // (displacement fusion) but read the rate off the FFT magnitude peak.
 // Its resolution is limited to 1/window Hz — 2.4 bpm for a 25 s window
 // — which is why the paper prefers zero-crossing timing.
-type FFTPeakEstimator struct {
-	Config core.Config
-}
+type FFTPeakEstimator struct{}
 
 // Name implements Estimator.
 func (e *FFTPeakEstimator) Name() string { return "fft-peak" }
 
 // EstimateBPM implements Estimator.
 func (e *FFTPeakEstimator) EstimateBPM(reports []reader.TagReport, userID uint64) (float64, error) {
-	bins, binSec, err := fusedBins(reports, userID, e.Config)
+	bins, binSec, err := fusedBins(reports, userID)
 	if err != nil {
 		return 0, err
 	}
@@ -217,9 +215,8 @@ func (e *TagBreatheEstimator) EstimateBPM(reports []reader.TagReport, userID uin
 
 // fusedBins reruns the TagBreathe front end (differencing + fusion)
 // and returns the fused bins and bin width in seconds.
-func fusedBins(reports []reader.TagReport, userID uint64, cfg core.Config) ([]float64, float64, error) {
-	cfg.Users = []uint64{userID}
-	df := core.NewDifferencer(cfg)
+func fusedBins(reports []reader.TagReport, userID uint64) ([]float64, float64, error) {
+	df := core.NewDifferencer()
 	var samples []core.DisplacementSample
 	var t0, t1 float64
 	first := true

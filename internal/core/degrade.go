@@ -25,33 +25,35 @@ package core
 // broadcast (the backlog queued ahead of the tick), not at dequeue —
 // the worker drains the queue ahead of a tick before it could
 // observe it, so a dequeue-side sample structurally under-reads. Recovery is hysteretic: the ladder steps down one rung
-// only after ReleaseAfter consecutive analyzed ticks with a calm
+// only after releaseAfter consecutive analyzed ticks with a calm
 // queue and a drained engine, so a load that oscillates around the
 // threshold cannot flap the cadence.
 
 // DegradeConfig tunes the per-worker adaptive tick-rate controller —
 // the graceful-degradation ladder. The zero value disables the
 // controller entirely (full-cadence ticks, bit-identical to the
-// pre-ladder monitor); set MaxStretch > 1 to enable it.
+// pre-ladder monitor); set MaxStretch > 1 to enable it. The ladder's
+// thresholds are unexported: their defaults are the ladder callers
+// get, and only the package's tests set them.
 type DegradeConfig struct {
 	// MaxStretch caps the tick-stretch ladder: under sustained queue
 	// pressure a worker doubles its effective tick interval per rung
 	// (1×→2×→4×…) up to this factor. <= 1 disables the controller.
 	// Powers of two keep the ladder's rungs exact.
 	MaxStretch int
-	// EngageFraction is the queue-occupancy fraction (of ShardQueue,
+	// engageFraction is the queue-occupancy fraction (of ShardQueue,
 	// sampled by the router at tick broadcast — the backlog queued
 	// ahead of the tick) at or above which the worker escalates one
 	// rung. Default 0.5.
-	EngageFraction float64
-	// ReleaseFraction is the occupancy fraction at or below which an
-	// analyzed tick counts toward recovery. Default 0.125. The gap
-	// between engage and release is the hysteresis band.
-	ReleaseFraction float64
-	// ReleaseAfter is how many consecutive calm analyzed ticks step
+	engageFraction float64
+	// releaseFraction is the occupancy fraction at or below which an
+	// analyzed tick counts toward recovery. Default engageFraction/4.
+	// The gap between engage and release is the hysteresis band.
+	releaseFraction float64
+	// releaseAfter is how many consecutive calm analyzed ticks step
 	// the ladder down one rung. Default 3.
-	ReleaseAfter int
-	// LagBinsEngage is the Engine.Lag input: when the post-analysis
+	releaseAfter int
+	// lagBinsEngage is the Engine.Lag input: when the post-analysis
 	// fused-bin backlog per user (PendingBins summed over the worker's
 	// engines, divided by its user count) reaches this many bins, the
 	// worker escalates even with a calm queue — the engine itself is
@@ -61,21 +63,21 @@ type DegradeConfig struct {
 	// and finality settings), so the threshold must sit far above that
 	// or the ladder pins at MaxStretch on residue alone. Negative
 	// disables the lag input.
-	LagBinsEngage int
+	lagBinsEngage int
 }
 
 func (c *DegradeConfig) fillDefaults() {
-	if c.EngageFraction <= 0 || c.EngageFraction > 1 {
-		c.EngageFraction = 0.5
+	if c.engageFraction <= 0 || c.engageFraction > 1 {
+		c.engageFraction = 0.5
 	}
-	if c.ReleaseFraction <= 0 || c.ReleaseFraction >= c.EngageFraction {
-		c.ReleaseFraction = c.EngageFraction / 4
+	if c.releaseFraction <= 0 || c.releaseFraction >= c.engageFraction {
+		c.releaseFraction = c.engageFraction / 4
 	}
-	if c.ReleaseAfter <= 0 {
-		c.ReleaseAfter = 3
+	if c.releaseAfter <= 0 {
+		c.releaseAfter = 3
 	}
-	if c.LagBinsEngage == 0 {
-		c.LagBinsEngage = 1024
+	if c.lagBinsEngage == 0 {
+		c.lagBinsEngage = 1024
 	}
 }
 
@@ -102,8 +104,8 @@ func newTickGovernor(cfg DegradeConfig, queueCap int) *tickGovernor {
 	cfg.fillDefaults()
 	g := &tickGovernor{
 		cfg:     cfg,
-		engage:  int(float64(queueCap) * cfg.EngageFraction),
-		release: int(float64(queueCap) * cfg.ReleaseFraction),
+		engage:  int(float64(queueCap) * cfg.engageFraction),
+		release: int(float64(queueCap) * cfg.releaseFraction),
 		stretch: 1,
 	}
 	if g.engage < 1 {
@@ -145,7 +147,7 @@ func (g *tickGovernor) settle(occ int, pendingPerUser float64) {
 	if g.forced {
 		return
 	}
-	if g.cfg.LagBinsEngage >= 0 && pendingPerUser >= float64(g.cfg.LagBinsEngage) {
+	if g.cfg.lagBinsEngage >= 0 && pendingPerUser >= float64(g.cfg.lagBinsEngage) {
 		g.calm = 0
 		g.escalate()
 		return
@@ -158,7 +160,7 @@ func (g *tickGovernor) settle(occ int, pendingPerUser float64) {
 		return
 	}
 	g.calm++
-	if g.calm >= g.cfg.ReleaseAfter {
+	if g.calm >= g.cfg.releaseAfter {
 		g.calm = 0
 		g.stretch /= 2
 		if g.stretch < 1 {

@@ -20,7 +20,7 @@ import (
 // laptop and a loaded CI runner.
 
 func TestTickGovernorLadder(t *testing.T) {
-	g := newTickGovernor(DegradeConfig{MaxStretch: 4, ReleaseAfter: 2}, 256)
+	g := newTickGovernor(DegradeConfig{MaxStretch: 4, releaseAfter: 2}, 256)
 	// Defaults against a 256 queue: engage at 128, release at 32.
 	if g.engage != 128 || g.release != 32 {
 		t.Fatalf("thresholds = (%d, %d), want (128, 32)", g.engage, g.release)
@@ -60,7 +60,7 @@ func TestTickGovernorLadder(t *testing.T) {
 	}
 
 	// Recovery is hysteretic: a single calm analyzed tick does not
-	// release, ReleaseAfter consecutive ones step down one rung, and a
+	// release, releaseAfter consecutive ones step down one rung, and a
 	// pressured tick in between resets the count.
 	analyzed := 0
 	deliveries := 0
@@ -80,7 +80,7 @@ func TestTickGovernorLadder(t *testing.T) {
 	if g.stretch != 1 {
 		t.Fatalf("stretch = %d after %d calm deliveries, want full recovery", g.stretch, deliveries)
 	}
-	// 4→2 and 2→1 each need ReleaseAfter(2) calm analyzed ticks, plus
+	// 4→2 and 2→1 each need releaseAfter(2) calm analyzed ticks, plus
 	// the reset one: at least 5 analyzed ticks before full recovery.
 	if analyzed < 5 {
 		t.Fatalf("recovered after %d analyzed ticks, want the hysteresis to take at least 5", analyzed)
@@ -94,7 +94,7 @@ func TestTickGovernorLadder(t *testing.T) {
 	if g.stretch != 1 {
 		t.Fatalf("stretch = %d after residue-level settle, want 1", g.stretch)
 	}
-	g.settle(0, 2000) // >= default LagBinsEngage (1024)
+	g.settle(0, 2000) // >= default lagBinsEngage (1024)
 	if g.stretch != 2 {
 		t.Fatalf("stretch = %d after engine-lag settle, want 2", g.stretch)
 	}
@@ -258,8 +258,8 @@ type overloadStepper struct {
 	mu   sync.Mutex
 	cond sync.Cond
 	// fed is the stream time before which every report is ingested;
-	// holdTill is the fed time that releases the held tick (the worker
-	// is held while fed < holdTill); done releases every hold.
+	// holdTill is the latest fed time a held tick waits for (some
+	// worker is held while fed < holdTill); done releases every hold.
 	fed, holdTill time.Duration
 	done          bool
 }
@@ -277,8 +277,13 @@ func (s *overloadStepper) tickWork(asOf time.Duration) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.holdTill = asOf + s.hold
-	for !s.done && s.fed < s.holdTill {
+	// Each held tick waits for its own release point: with several
+	// workers, a later tick held on one worker must not move the release
+	// of an earlier one another worker is still held at, or the producer
+	// blocks putting the later tick into that worker's full queue.
+	till := asOf + s.hold
+	s.holdTill = max(s.holdTill, till)
+	for !s.done && s.fed < till {
 		s.cond.Wait()
 	}
 }
@@ -365,7 +370,7 @@ func TestOverloadBaselineShedsPrimary(t *testing.T) {
 // carry the degradation on their face.
 func TestOverloadControllerStretchesInsteadOfShedding(t *testing.T) {
 	cfg := overloadCfg()
-	cfg.Degrade = DegradeConfig{MaxStretch: 8, EngageFraction: 0.125}
+	cfg.Degrade = DegradeConfig{MaxStretch: 8, engageFraction: 0.125}
 	m, ups := runOverload(cfg)
 
 	st := m.Stats()
@@ -481,9 +486,9 @@ func TestDegradeHysteresisFullyClears(t *testing.T) {
 	// of a 320-deep queue.
 	cfg.Degrade = DegradeConfig{
 		MaxStretch:      4,
-		ReleaseAfter:    2,
-		EngageFraction:  0.25,   // 80: well under the ~194 backpressure ceiling
-		ReleaseFraction: 0.0625, // 20: well above the ~0 calm reading
+		releaseAfter:    2,
+		engageFraction:  0.25,   // 80: well under the ~194 backpressure ceiling
+		releaseFraction: 0.0625, // 20: well above the ~0 calm reading
 	}
 	m := NewMonitor(cfg)
 	get, done := collectUpdates(m)

@@ -19,8 +19,8 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"time"
 
 	"tagbreathe/internal/epc"
 	"tagbreathe/internal/reader"
@@ -80,19 +80,14 @@ type phaseStream struct {
 // cache does not cover; a stream the cache covers is created by slot
 // (newStream) and never enters the index (Engine.streamOf).
 type Differencer struct {
-	cfg     Config
 	readers smallSet[string]
 	index   map[streamKey]int32
 	streams []phaseStream
 }
 
-// NewDifferencer builds a Differencer with the given pipeline config.
-func NewDifferencer(cfg Config) *Differencer {
-	cfg.fillDefaults()
-	return &Differencer{
-		cfg:   cfg,
-		index: make(map[streamKey]int32),
-	}
+// NewDifferencer builds an empty Differencer.
+func NewDifferencer() *Differencer {
+	return &Differencer{index: make(map[streamKey]int32)}
 }
 
 // TagDisplacement is the output of one report: which user, tag, and
@@ -130,14 +125,6 @@ func (df *Differencer) reader(id string) int32 {
 	return df.readers.add(id)
 }
 
-// channel is the channel part of r's stream key.
-func (df *Differencer) channel(r *reader.TagReport) int {
-	if df.cfg.IgnoreChannelGrouping {
-		return 0 // ablation: one stream per tag regardless of hop
-	}
-	return r.ChannelIndex
-}
-
 // stream returns the slot of r's stream on interned reader ri,
 // creating the stream on its first report.
 func (df *Differencer) stream(ri int32, r *reader.TagReport) int32 {
@@ -146,7 +133,7 @@ func (df *Differencer) stream(ri int32, r *reader.TagReport) int32 {
 		antenna: r.AntennaPort,
 		user:    r.EPC.UserID(),
 		tag:     r.EPC.TagID(),
-		channel: df.channel(r),
+		channel: r.ChannelIndex,
 	}
 	if s, ok := df.index[key]; ok {
 		return s
@@ -172,18 +159,11 @@ func (df *Differencer) difference(s int32, r *reader.TagReport, t float64) (Disp
 	prevT, prevPhase, prevValid := ps.t, ps.phase, ps.valid
 	ps.t, ps.phase, ps.valid = t, r.Phase, true
 
-	if !prevValid || t-prevT > df.cfg.MaxPhaseGap || t <= prevT {
+	if !prevValid || t-prevT > maxPhaseGap || t <= prevT {
 		return DisplacementSample{}, false
 	}
 
 	dtheta := units.WrapPhaseDiff(r.Phase - prevPhase)
-	if df.cfg.PiAmbiguityMitigation {
-		// Readers that cannot resolve the BPSK constellation add
-		// random π flips; folding the difference into (-π/2, π/2]
-		// removes them at the cost of halving the unambiguous range,
-		// still far beyond breathing displacement between reads.
-		dtheta = foldPi(dtheta)
-	}
 	lambda := float64(r.Frequency.Wavelength())
 	// Eq. 3: Δd = λ/(4π) · (θ_{i+1} − θ_i). The radio wave travels
 	// 2d, so a phase change Δθ corresponds to a distance change of
@@ -267,20 +247,6 @@ func (s *smallSet[K]) add(k K) int32 {
 	return i
 }
 
-// foldPi maps a wrapped phase difference into (-π/2, π/2] by removing
-// any π component, the standard mitigation for constellation-ambiguous
-// readers.
-func foldPi(d units.Radians) units.Radians {
-	v := float64(d)
-	for v > math.Pi/2 {
-		v -= math.Pi
-	}
-	for v <= -math.Pi/2 {
-		v += math.Pi
-	}
-	return units.Radians(v)
-}
-
 // AccumulateDisplacement implements Eq. 4 for a single stream: the
 // total displacement after each sample, i.e. the running sum of the
 // per-reading displacements. The result is a reconstruction of the
@@ -296,39 +262,48 @@ func AccumulateDisplacement(samples []DisplacementSample) []sigproc.Sample {
 	return out
 }
 
+// The pipeline's fixed parameters: the values the paper sets (Eq. 5's
+// M, §IV-B's band) and the few it leaves to the implementation.
+const (
+	// binInterval is Δt of Eq. 6, the fusion bin width in seconds:
+	// 62.5 ms (a 16 Hz fused stream), comfortably above twice the
+	// 0.67 Hz cutoff.
+	binInterval = 0.0625
+	// nyquistHz is the highest frequency the fused bin grid carries.
+	nyquistHz = 0.5 / binInterval
+	// lowCutHz is the high-pass edge of the extraction band. Breathing
+	// has little energy this low, but integrated phase noise does; the
+	// paper's zero-centred Fig. 8 signal implies this detrending. It
+	// sits safely under the slowest evaluated rate (5 bpm = 0.083 Hz,
+	// Table I).
+	lowCutHz = 0.05
+	// crossingBufferM is M of Eq. 5; the paper buffers 7 crossings.
+	crossingBufferM = 7
+	// minCrossingGap suppresses crossing chatter, in seconds; at most
+	// 40 bpm a half-cycle lasts 0.75 s, so 0.4 s is safely below real
+	// spacing.
+	minCrossingGap = 0.4
+	// edgeTrim excludes this many seconds at each end of the filtered
+	// window from crossing detection, where the FFT filter rings.
+	edgeTrim = 1.5
+	// maxPhaseGap bounds how old, in seconds, a predecessor reading may
+	// be for Eq. 3 differencing. Breathing moves the tag far less than
+	// λ/4 even over 12 s, so the difference remains unambiguous, and a
+	// generous gap preserves the telescoping of Eq. 4 sums in
+	// sparse-read regimes — high contention, sideways orientation, and
+	// wide channel plans (the FCC 50-channel plan revisits each channel
+	// only every ~10 s).
+	maxPhaseGap = 12.0
+)
+
 // Config tunes the pipeline. The zero value is usable: fillDefaults
 // installs the paper's parameters.
 type Config struct {
-	// BinInterval is Δt of Eq. 6, the fusion bin width. Default 62.5 ms
-	// (16 Hz fused stream), comfortably above twice the 0.67 Hz cutoff.
-	BinInterval time.Duration
-	// LowCutHz is the high-pass edge of the extraction band. Breathing
-	// has little energy this low, but integrated phase noise does; the
-	// paper's zero-centred Fig. 8 signal implies this detrending.
-	// Default 0.05 Hz, safely under the slowest evaluated rate (5 bpm
-	// = 0.083 Hz, Table I).
-	LowCutHz float64
-	// HighCutHz is the low-pass cutoff; §IV-B sets 0.67 Hz (40 bpm).
+	// HighCutHz is the low-pass cutoff; §IV-B sets 0.67 Hz (40 bpm),
+	// the default. It must lie strictly between the 0.05 Hz high-pass
+	// edge and the 8 Hz Nyquist frequency of the 16 Hz fused stream;
+	// Estimate and MonitorStream reject a value outside that band.
 	HighCutHz float64
-	// CrossingBufferM is M of Eq. 5; the paper buffers 7 crossings.
-	CrossingBufferM int
-	// MinCrossingGap suppresses crossing chatter; at most 40 bpm a
-	// half-cycle lasts 0.75 s, so 0.4 s is safely below real spacing.
-	MinCrossingGap float64
-	// EdgeTrim excludes this many seconds at each end of the filtered
-	// window from crossing detection, where the FFT filter rings.
-	EdgeTrim float64
-	// MaxPhaseGap bounds how old a predecessor reading may be for
-	// Eq. 3 differencing. Default 12 s: breathing moves the tag far
-	// less than λ/4 even over that span, so the difference remains
-	// unambiguous, and a generous gap preserves the telescoping of
-	// Eq. 4 sums in sparse-read regimes — high contention, sideways
-	// orientation, and wide channel plans (the FCC 50-channel plan
-	// revisits each channel only every ~10 s).
-	MaxPhaseGap float64
-	// PiAmbiguityMitigation folds phase differences into (-π/2, π/2]
-	// for readers with BPSK constellation ambiguity.
-	PiAmbiguityMitigation bool
 	// Users restricts processing to these user IDs. Empty means
 	// auto-discover: every distinct EPC high-64 seen is treated as a
 	// user (suitable when all tags in the field are monitoring tags).
@@ -350,13 +325,6 @@ type Config struct {
 	// inside the blanked windows. Off by default to match the paper's
 	// pipeline; the motion study quantifies the benefit.
 	MotionRejection bool
-	// IgnoreChannelGrouping disables the per-channel stream separation
-	// of §IV-A.3, differencing consecutive phases across channel hops
-	// as a naive implementation would. Exists only for the ablation
-	// that demonstrates why Eq. 3 groups by channel: under frequency
-	// hopping the per-channel constant c changes every dwell and the
-	// naive differences are dominated by hop discontinuities.
-	IgnoreChannelGrouping bool
 	// Workers bounds the worker pool Estimate spreads per-user shards
 	// across. Per-user streams are independent (EPC Gen2 singulation
 	// keeps them separate at the MAC layer, §III), so the batch
@@ -370,39 +338,25 @@ type Config struct {
 	// NewEstimateMetrics). Nil disables: Estimate's results are
 	// identical either way; only observation changes.
 	Metrics *EstimateMetrics
-	// LiteralBinning reproduces the paper's Eq. 6 exactly: each
-	// displacement sample lands wholly in the bin of its later
-	// reading. The default spreads each sample over the interval it
-	// accrued across — identical for dense reads, and markedly more
-	// robust when same-channel reads arrive seconds apart (heavy
-	// contention, sideways users). The spreading ablation quantifies
-	// the difference.
-	LiteralBinning bool
 }
 
-// fillDefaults installs the paper's parameter values for unset fields.
+// fillDefaults installs the paper's cutoff when HighCutHz is unset.
 func (c *Config) fillDefaults() {
-	if c.BinInterval <= 0 {
-		c.BinInterval = 62500 * time.Microsecond
-	}
-	if c.LowCutHz <= 0 {
-		c.LowCutHz = 0.05
-	}
 	if c.HighCutHz <= 0 {
 		c.HighCutHz = 0.67
 	}
-	if c.CrossingBufferM <= 0 {
-		c.CrossingBufferM = 7
+}
+
+// checkBand reports an error unless the low-pass cutoff, after
+// defaults, lies strictly inside (lowCutHz, nyquistHz): at or below the
+// high-pass edge the band is empty, and at or above Nyquist the low-pass
+// is not realizable on the fused grid.
+func (c Config) checkBand() error {
+	c.fillDefaults()
+	if !(c.HighCutHz > lowCutHz && c.HighCutHz < nyquistHz) {
+		return fmt.Errorf("core: HighCutHz %g Hz outside the band (%g, %g) Hz", c.HighCutHz, lowCutHz, nyquistHz)
 	}
-	if c.MinCrossingGap <= 0 {
-		c.MinCrossingGap = 0.4
-	}
-	if c.EdgeTrim <= 0 {
-		c.EdgeTrim = 1.5
-	}
-	if c.MaxPhaseGap <= 0 {
-		c.MaxPhaseGap = 12.0
-	}
+	return nil
 }
 
 // allowsUser reports whether reports for this user ID should be

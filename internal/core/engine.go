@@ -54,7 +54,7 @@ const (
 )
 
 // BinFuser maintains the Eq. 6 bin grid (anchored at origin, binSec
-// wide) incrementally; FuseBins and FuseBinsLiteral are its batch face.
+// wide) incrementally; FuseBins is its batch face.
 // The grid is stored as first differences in a growable ring: slot i
 // holds bin i's value minus bin i−1's, and a bin's value is the running
 // sum of the differences up to it, started from carry, the value of the
@@ -74,9 +74,8 @@ const (
 // tick boundary. Fed the same samples in the same order, a flush over
 // [t0, t1) equals FuseBins(samples, binSec, t0, t1) bit for bit.
 type BinFuser struct {
-	binSec  float64
-	literal bool
-	origin  float64 // left edge of bin 0
+	binSec float64
+	origin float64 // left edge of bin 0
 
 	// ring holds the differences of the live bins [base, hi]; every
 	// other slot is zero. Power-of-two sized; slot = index & mask.
@@ -109,21 +108,19 @@ func ringBins(need int) int {
 	return n
 }
 
-// NewBinFuser builds a fuser on the grid {origin + i·binSec}. literal
-// selects the paper's verbatim Eq. 6 (whole sample into the ending
-// bin) over the default interval spreading. capacityBins sizes the
-// ring initially. The ring follows the live span [Base(), Hi()]: it
-// grows when a deposit lands past it, and EvictBefore shrinks it once
-// the span it held up to that eviction is a quarter of it or less.
-func NewBinFuser(binSec float64, literal bool, origin float64, capacityBins int) *BinFuser {
+// NewBinFuser builds a fuser on the grid {origin + i·binSec}.
+// capacityBins sizes the ring initially. The ring follows the live span
+// [Base(), Hi()]: it grows when a deposit lands past it, and
+// EvictBefore shrinks it once the span it held up to that eviction is a
+// quarter of it or less.
+func NewBinFuser(binSec, origin float64, capacityBins int) *BinFuser {
 	n := ringBins(capacityBins)
 	return &BinFuser{
-		binSec:  binSec,
-		literal: literal,
-		origin:  origin,
-		ring:    make([]float64, n),
-		mask:    n - 1,
-		floor:   origin,
+		binSec: binSec,
+		origin: origin,
+		ring:   make([]float64, n),
+		mask:   n - 1,
+		floor:  origin,
 	}
 }
 
@@ -198,16 +195,16 @@ func (f *BinFuser) HeldFloor() float64 {
 // multi-second displacement into a single bin. The evicted floor
 // stands in for a batch window's start: a sample reaching below it is
 // renormalized over its remaining overlap, and one ending below it is
-// dropped. A degenerate span, and literal mode, put all of D in the
-// bin of T. A non-finite D is dropped too: a report carrying 0 Hz
-// makes its wavelength, and so its displacement, infinite, and one
-// such difference would poison every later bin's running sum.
+// dropped. A degenerate span puts all of D in the bin of T. A
+// non-finite D is dropped too: a report carrying 0 Hz makes its
+// wavelength, and so its displacement, infinite, and one such
+// difference would poison every later bin's running sum.
 func (f *BinFuser) deposit(s DisplacementSample) {
 	if s.T < f.floor || !(math.Abs(s.D) <= math.MaxFloat64) {
 		return // entirely inside the evicted region, or not finite
 	}
 	lo, hi := max(s.TPrev, f.floor), s.T
-	if f.literal || hi <= lo {
+	if hi <= lo {
 		f.spike(f.clampLow(f.binIndex(hi)), s.D)
 		return
 	}
@@ -360,9 +357,7 @@ func (f *BinFuser) WindowBins(iLo, iHi int, dst []float64) []float64 {
 
 // Flush settles what can settle before t1 and materializes the grid
 // over [t0, t1) — the batch path's terminal operation, and all of
-// FuseBins. In literal mode the bins past the grid fold into its last
-// bin, so a sample stamped in the fractional tail of [t0, t1) still
-// counts, as Eq. 6 puts it in the window's last bin.
+// FuseBins.
 func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 	if f.binSec <= 0 || t1 <= t0 {
 		return nil
@@ -373,23 +368,12 @@ func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 	}
 	f.SettleBefore(t1)
 	i0 := f.binIndex(t0)
-	out := f.WindowBins(i0, i0+n, make([]float64, 0, n))
-	if f.literal {
-		i, v := i0+n, out[n-1]
-		if i <= f.base {
-			i, v = f.base, f.carry
-		}
-		for ; i < f.hi; i++ {
-			v += f.diffAt(i)
-			out[n-1] += v
-		}
-	}
-	return out
+	return f.WindowBins(i0, i0+n, make([]float64, 0, n))
 }
 
 // EarliestOpenStream returns the earliest last-read time among streams
 // that can still produce a displacement sample at time now (their gap
-// to now is within MaxPhaseGap), or now if none can. A future sample's
+// to now is within maxPhaseGap), or now if none can. A future sample's
 // accrual interval starts at its stream's last read, so every fused
 // bin strictly before this bound is final — the streaming filter may
 // consume it.
@@ -397,7 +381,7 @@ func (df *Differencer) EarliestOpenStream(now float64) float64 {
 	floor := now
 	for i := range df.streams {
 		s := &df.streams[i]
-		if !s.valid || now-s.t > df.cfg.MaxPhaseGap {
+		if !s.valid || now-s.t > maxPhaseGap {
 			continue
 		}
 		if s.t < floor {
@@ -476,7 +460,7 @@ type antennaState struct {
 
 	// lastRead is the time of the vantage's latest report (+Inf
 	// before the first). restart is set when a report follows the
-	// previous one by more than MaxPhaseGap: every Eq. 3 stream of the
+	// previous one by more than maxPhaseGap: every Eq. 3 stream of the
 	// vantage had expired, so the displacement trajectory starts over,
 	// and a filter output within the filter's settle span of the
 	// restart (Engine.hold) mixes both sides of the gap. Crossings
@@ -513,7 +497,6 @@ type Engine struct {
 	// cfg.Filter is the resolved band-pass (see NewEngine).
 	cfg Config
 
-	binSec     float64
 	windowSec  float64
 	windowBins int
 	strideSec  float64
@@ -559,7 +542,6 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	if opts.Window <= 0 {
 		opts.Window = 25
 	}
-	binSec := cfg.BinInterval.Seconds()
 	bp := opts.bandPass
 	if bp == nil {
 		bp = streamBandPass(cfg)
@@ -576,14 +558,13 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	}
 	e := &Engine{
 		cfg:       cfg,
-		binSec:    binSec,
 		windowSec: opts.Window,
 		strideSec: opts.TickStride,
 		apneaSec:  opts.ApneaAlarmSec,
 		userID:    opts.UserID,
 		userLbl:   UserLabel(opts.UserID),
 		metrics:   opts.Metrics,
-		df:        NewDifferencer(cfg),
+		df:        NewDifferencer(),
 		origin:    opts.Origin,
 		originSet: opts.OriginSet,
 		delay:     delay,
@@ -595,7 +576,7 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	if e.window == nil {
 		e.window = new([]float64)
 	}
-	e.windowBins = int(e.windowSec / binSec)
+	e.windowBins = int(e.windowSec / binInterval)
 	return e
 }
 
@@ -607,7 +588,7 @@ func streamBandPass(cfg Config) *sigproc.StreamBandPass {
 	if cfg.Filter != FilterFIRStreaming || cfg.MotionRejection {
 		return nil
 	}
-	bp, err := sigproc.NewStreamBandPass(1/cfg.BinInterval.Seconds(), cfg.LowCutHz, cfg.HighCutHz)
+	bp, err := sigproc.NewStreamBandPass(1/binInterval, lowCutHz, cfg.HighCutHz)
 	if err != nil {
 		return nil
 	}
@@ -656,8 +637,8 @@ func (e *Engine) feed(r *reader.TagReport) {
 		a.earliest = ts
 	}
 	a.latest = ts
-	if ts-a.lastRead > e.cfg.MaxPhaseGap {
-		a.restart = ts + float64(e.hold)*e.binSec
+	if ts-a.lastRead > maxPhaseGap {
+		a.restart = ts + float64(e.hold)*binInterval
 	}
 	a.lastRead = ts
 	if d, ok := e.df.difference(e.streamOf(a, r), r, ts); ok {
@@ -687,18 +668,18 @@ func (e *Engine) addVantage(v vantage) *antennaState {
 	a := &antennaState{
 		v:        v,
 		ri:       e.df.reader(v.reader),
-		fuser:    NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, ringSize),
+		fuser:    NewBinFuser(binInterval, e.origin, ringSize),
 		lastRead: math.Inf(1),
 	}
 	if e.cfg.Filter == FilterFIRStreaming {
 		a.bp = e.bp.Fresh()
-		a.tracker = sigproc.NewCrossingTracker(e.cfg.MinCrossingGap)
+		a.tracker = sigproc.NewCrossingTracker(minCrossingGap)
 		// Size the crossing buffer once for a full window at the band
 		// edge (two crossings per cycle), so ticks never grow it.
-		span := e.windowSec + float64(e.delay)*e.binSec
+		span := e.windowSec + float64(e.delay)*binInterval
 		a.crossings = make([]sigproc.ZeroCrossing, 0, int(span*2*e.cfg.HighCutHz)+2)
 		if e.apneaSec > 0 {
-			a.pause = NewPauseTracker(1/e.binSec, e.origin, e.apneaSec, e.windowBins)
+			a.pause = NewPauseTracker(1/binInterval, e.origin, e.apneaSec, e.windowBins)
 		}
 	}
 	e.vantages.add(v)
@@ -713,7 +694,7 @@ func (e *Engine) addVantage(v vantage) *antennaState {
 // cached, or uncached, for the vantage's life, so each stream lives in
 // exactly one of the two.
 func (e *Engine) streamOf(a *antennaState, r *reader.TagReport) int32 {
-	user, tag, ch := r.EPC.UserID(), r.EPC.TagID(), e.df.channel(r)
+	user, tag, ch := r.EPC.UserID(), r.EPC.TagID(), r.ChannelIndex
 	for i := range a.tags {
 		t := &a.tags[i]
 		if t.tag != tag || t.user != user {
@@ -829,7 +810,7 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 		// would leave the chain a window shorter by the delay. A
 		// vantage whose reads restarted after a gap cuts later still
 		// (antennaState.restart).
-		t0 := max(asOf-e.windowSec-float64(e.delay)*e.binSec, e.origin)
+		t0 := max(asOf-e.windowSec-float64(e.delay)*binInterval, e.origin)
 		for _, a := range e.ants {
 			cut := max(t0, a.restart)
 			idx := 0
@@ -878,7 +859,7 @@ func (e *Engine) advanceChains(asOf float64) {
 			limit = h
 		}
 	}
-	limIdx := int((limit - e.origin) / e.binSec)
+	limIdx := int((limit - e.origin) / binInterval)
 	total := 0
 	for _, a := range e.ants {
 		total += e.advance(a, limIdx)
@@ -915,7 +896,7 @@ func (e *Engine) advance(a *antennaState, limIdx int) int {
 			if i >= e.warm {
 				// The output at push i is the filtered value of bin
 				// i − delay; stamp the crossing on that bin's time.
-				tOut := e.origin + float64(i-e.delay)*e.binSec
+				tOut := e.origin + float64(i-e.delay)*binInterval
 				if zc, ok := a.tracker.Push(tOut, y); ok {
 					a.crossings = append(a.crossings, zc)
 				}
@@ -940,7 +921,7 @@ func (e *Engine) streamingUpdate(a *antennaState, v vantage) (RateUpdate, bool) 
 		return RateUpdate{}, false
 	}
 	instant := rate
-	if r := sigproc.RateFromCrossings(cr, e.cfg.CrossingBufferM); r > 0 {
+	if r := sigproc.RateFromCrossings(cr, crossingBufferM); r > 0 {
 		instant = r * 60
 	}
 	var pauses [][2]float64
@@ -966,7 +947,7 @@ func (e *Engine) streamingUpdate(a *antennaState, v vantage) (RateUpdate, bool) 
 // straight off the selected vantage's ring (no re-fusion, no sample
 // copies) and extraction recomputes over them.
 func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (RateUpdate, bool) {
-	iHi := int((asOf-e.origin)/e.binSec) + 1
+	iHi := int((asOf-e.origin)/binInterval) + 1
 	iLo := iHi - e.windowBins
 	if iLo < 0 {
 		iLo = 0
@@ -985,8 +966,8 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 	if nz < 4 {
 		return RateUpdate{}, false
 	}
-	sigT0 := e.origin + float64(iLo)*e.binSec
-	sig, err := ExtractBreath(bins, e.binSec, sigT0, e.cfg)
+	sigT0 := e.origin + float64(iLo)*binInterval
+	sig, err := ExtractBreath(bins, binInterval, sigT0, e.cfg)
 	if err != nil {
 		return RateUpdate{}, false
 	}
@@ -995,7 +976,7 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 		return RateUpdate{}, false
 	}
 	instant := rate
-	if series := sig.InstantRateSeriesBPM(e.cfg.CrossingBufferM); len(series) > 0 {
+	if series := sig.InstantRateSeriesBPM(crossingBufferM); len(series) > 0 {
 		instant = series[len(series)-1].V
 	}
 	var pauses [][2]float64
@@ -1017,7 +998,7 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 // CloseVantage retires a (reader, antenna) vantage's phase streams:
 // quality-aware shedding has stopped forwarding its reports, and an
 // open stream that will never read again would pin the finality
-// horizon (EarliestOpenStream) for MaxPhaseGap — stalling every chain
+// horizon (EarliestOpenStream) for maxPhaseGap — stalling every chain
 // this user owns, the selected vantage's included. Deleting the
 // streams lets finality advance on the surviving vantages
 // immediately; held fusion samples settle (their displacements are
@@ -1145,7 +1126,7 @@ func (e *Engine) FlushEstimate(t0, t1 float64) *UserEstimate {
 	if e.cfg.Filter == FilterFIRStreaming {
 		sig = e.streamingSignal(best, bins, t0)
 	} else {
-		s, err := ExtractBreath(bins, e.binSec, t0, e.cfg)
+		s, err := ExtractBreath(bins, binInterval, t0, e.cfg)
 		if err != nil {
 			return nil
 		}
@@ -1158,7 +1139,7 @@ func (e *Engine) FlushEstimate(t0, t1 float64) *UserEstimate {
 	est := &UserEstimate{
 		UserID:      e.userID,
 		RateBPM:     sig.OverallRateBPM(),
-		RateSeries:  sig.InstantRateSeriesBPM(e.cfg.CrossingBufferM),
+		RateSeries:  sig.InstantRateSeriesBPM(crossingBufferM),
 		Signal:      sig,
 		ReaderID:    bestV.reader,
 		AntennaPort: bestV.port,
@@ -1189,7 +1170,7 @@ func (e *Engine) streamingSignal(a *antennaState, bins []float64, t0 float64) *B
 	a.bp.PushBlock(ys)
 	for i, y := range ys {
 		if i >= e.warm {
-			tOut := t0 + float64(i-e.delay)*e.binSec
+			tOut := t0 + float64(i-e.delay)*binInterval
 			if zc, ok := a.tracker.Push(tOut, y); ok {
 				a.crossings = append(a.crossings, zc)
 			}
@@ -1198,7 +1179,7 @@ func (e *Engine) streamingSignal(a *antennaState, bins []float64, t0 float64) *B
 	out := ys[min(e.delay, len(ys)):]
 	return &BreathSignal{
 		T0:         t0,
-		SampleRate: 1 / e.binSec,
+		SampleRate: 1 / binInterval,
 		Samples:    out,
 		Crossings:  append([]sigproc.ZeroCrossing(nil), a.crossings...),
 	}

@@ -33,7 +33,7 @@ func TestEngineCrossingBuffersBounded(t *testing.T) {
 	}
 
 	eng := NewEngine(Config{Filter: FilterFIRStreaming}, EngineOptions{Window: windowSec, TickStride: 1, UserID: 1})
-	delaySec := float64(eng.delay) * eng.binSec
+	delaySec := float64(eng.delay) * binInterval
 	var ms runtime.MemStats
 	var steadyAllocs uint64
 	ticks := 0

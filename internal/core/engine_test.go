@@ -175,7 +175,7 @@ func legacyEstimate(reports []reader.TagReport, uid uint64, t0, t1 float64, cfg 
 	if !ok {
 		return nil
 	}
-	df := core.NewDifferencer(cfg)
+	df := core.NewDifferencer()
 	var samples []core.DisplacementSample
 	reads := 0
 	tagsSeen := make(map[uint32]bool)
@@ -193,11 +193,8 @@ func legacyEstimate(reports []reader.TagReport, uid uint64, t0, t1 float64, cfg 
 		return nil
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
-	binSec := 0.0625 // the default BinInterval
+	binSec := 0.0625 // Eq. 6's bin width
 	bins := core.FuseBins(samples, binSec, t0, t1)
-	if cfg.LiteralBinning {
-		bins = core.FuseBinsLiteral(samples, binSec, t0, t1)
-	}
 	sig, err := core.ExtractBreath(bins, binSec, t0, cfg)
 	if err != nil {
 		return nil
@@ -406,40 +403,33 @@ func TestTickReadRateSingleRead(t *testing.T) {
 
 // TestBinFuserMatchesBatchFusion drives random in-order displacement
 // streams through a BinFuser with interleaved settles and compares the
-// flush against the batch fuser, both modes, bit for bit.
+// flush against the batch fuser bit for bit.
 func TestBinFuserMatchesBatchFusion(t *testing.T) {
-	for _, literal := range []bool{false, true} {
-		samples := make([]core.DisplacementSample, 0, 500)
-		tprev := 0.13
-		tt := 0.4
-		for i := 0; i < 500; i++ {
-			d := math.Sin(float64(i) * 0.7)
-			samples = append(samples, core.DisplacementSample{T: tt, TPrev: tprev, D: d})
-			tprev = tt
-			tt += 0.05 + 0.3*math.Abs(math.Sin(float64(i)*1.3))
+	samples := make([]core.DisplacementSample, 0, 500)
+	tprev := 0.13
+	tt := 0.4
+	for i := 0; i < 500; i++ {
+		d := math.Sin(float64(i) * 0.7)
+		samples = append(samples, core.DisplacementSample{T: tt, TPrev: tprev, D: d})
+		tprev = tt
+		tt += 0.05 + 0.3*math.Abs(math.Sin(float64(i)*1.3))
+	}
+	t0, t1 := 0.0, samples[len(samples)-1].T
+	want := core.FuseBins(samples, 0.0625, t0, t1)
+	fz := core.NewBinFuser(0.0625, t0, 64)
+	for i, s := range samples {
+		fz.Add(s)
+		if i%37 == 0 {
+			fz.SettleBefore(s.T) // exercise the pending hold
 		}
-		t0, t1 := 0.0, samples[len(samples)-1].T
-		var want []float64
-		if literal {
-			want = core.FuseBinsLiteral(samples, 0.0625, t0, t1)
-		} else {
-			want = core.FuseBins(samples, 0.0625, t0, t1)
-		}
-		fz := core.NewBinFuser(0.0625, literal, t0, 64)
-		for i, s := range samples {
-			fz.Add(s)
-			if i%37 == 0 {
-				fz.SettleBefore(s.T) // exercise the pending hold
-			}
-		}
-		got := fz.Flush(t0, t1)
-		if len(got) != len(want) {
-			t.Fatalf("literal=%v: %d bins, batch %d", literal, len(got), len(want))
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("literal=%v bin %d: %.17g, batch %.17g", literal, i, got[i], want[i])
-			}
+	}
+	got := fz.Flush(t0, t1)
+	if len(got) != len(want) {
+		t.Fatalf("%d bins, batch %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("bin %d: %.17g, batch %.17g", i, got[i], want[i])
 		}
 	}
 }
@@ -458,11 +448,11 @@ func TestBinFuserMatchesBatchFusion(t *testing.T) {
 // streamed fuser must agree bit for bit with a twin fed the same
 // samples and never read.
 func FuzzBinFuser(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, false)
-	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3}, true)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3})
 	// Samples 250 s in grow the ring to 4096 bins once they settle;
 	// evicting all but the last 2 s, and then 1 s more, shrinks it.
-	f.Add([]byte{0, 250, 16, 8, 0, 0, 8, 250, 0, 3, 1, 0, 8, 250, 0, 3, 2, 16, 8, 250, 0, 3, 2, 8}, false)
+	f.Add([]byte{0, 250, 16, 8, 0, 0, 8, 250, 0, 3, 1, 0, 8, 250, 0, 3, 2, 16, 8, 250, 0, 3, 2, 8})
 	// An in-order stream read every other sample, with accruals from
 	// 0 to 4 s long: the longer ones reach back into the guard bin the
 	// read before kept.
@@ -470,12 +460,18 @@ func FuzzBinFuser(f *testing.F) {
 	for i := 0; i < 96; i++ {
 		guard = append(guard, 8, 0, byte(i*13), byte(i*37), byte(1+i%2), 7)
 	}
-	f.Add(guard, false)
-	f.Add(guard, true)
-	f.Fuzz(func(t *testing.T, data []byte, literal bool) {
+	f.Add(guard)
+	// Dense reads: accruals of zero or one bin, every other record
+	// reading and evicting.
+	var dense []byte
+	for i := 0; i < 96; i++ {
+		dense = append(dense, 2, 0, byte(i%2), byte(i*29), byte(1+i%2), 1)
+	}
+	f.Add(dense)
+	f.Fuzz(func(t *testing.T, data []byte) {
 		const binSec = 0.0625
-		fz := core.NewBinFuser(binSec, literal, 0, 16)
-		sf := newStreamedFuser(binSec, literal)
+		fz := core.NewBinFuser(binSec, 0, 16)
+		sf := newStreamedFuser(binSec)
 		var kept []float64
 		for len(data) >= 6 {
 			rec := data[:6]
@@ -527,11 +523,11 @@ type streamedFuser struct {
 	guards   map[int]bool    // bins kept as the guard after a read
 }
 
-func newStreamedFuser(binSec float64, literal bool) *streamedFuser {
+func newStreamedFuser(binSec float64) *streamedFuser {
 	return &streamedFuser{
 		binSec: binSec,
-		fz:     core.NewBinFuser(binSec, literal, 0, 16),
-		twin:   core.NewBinFuser(binSec, literal, 0, 16),
+		fz:     core.NewBinFuser(binSec, 0, 16),
+		twin:   core.NewBinFuser(binSec, 0, 16),
 		reads:  map[int]float64{},
 		guards: map[int]bool{},
 	}
@@ -602,68 +598,63 @@ func (sf *streamedFuser) check(t *testing.T) {
 // read exactly what a fuser that never saw them reads.
 func TestBinFuserWriteBelowReadLeavesNoStep(t *testing.T) {
 	const binSec = 0.0625
-	for _, literal := range []bool{false, true} {
-		fz := core.NewBinFuser(binSec, literal, 0, 16)
-		twin := core.NewBinFuser(binSec, literal, 0, 16)
-		for i := 1; i <= 80; i++ {
-			tt := float64(i) * 0.05
-			s := core.DisplacementSample{T: tt, TPrev: tt - 0.05, D: 1e-3 * math.Sin(float64(i))}
-			fz.Add(s)
-			twin.Add(s)
-		}
-		fz.SettleBefore(math.Inf(1))
-		twin.SettleBefore(math.Inf(1))
-		const read = 48 // bins [0, 48) read: 3 s
-		for i := 0; i < read; i++ {
-			fz.ValueAt(i)
-		}
-		fz.EvictBefore((read - 1) * binSec) // the guard is bin 47
-		for _, s := range []core.DisplacementSample{
-			{T: 3.5, TPrev: 2.95, D: 0.004},  // from the guard bin
-			{T: 3.7, TPrev: 1.0, D: -0.003},  // from below the floor
-			{T: 2.5, TPrev: 2.0, D: 0.005},   // wholly below the floor
-			{T: 3.6, TPrev: 3.6, D: 0.002},   // degenerate, past the read position
-			{T: 3.65, TPrev: 3.62, D: 0.001}, // out of order
-		} {
-			fz.Add(s)
-		}
-		fz.SettleBefore(math.Inf(1))
-		end := 3.7 // the latest a late sample ends
-		for i := int(end/binSec) + 1; i < 200; i++ {
-			if g, w := fz.ValueAt(i), twin.ValueAt(i); math.Abs(g-w) > 1e-15 {
-				t.Fatalf("literal=%v: bin %d reads %.3g, %.3g without the late samples: a step of %.3g",
-					literal, i, g, w, g-w)
-			}
+	fz := core.NewBinFuser(binSec, 0, 16)
+	twin := core.NewBinFuser(binSec, 0, 16)
+	for i := 1; i <= 80; i++ {
+		tt := float64(i) * 0.05
+		s := core.DisplacementSample{T: tt, TPrev: tt - 0.05, D: 1e-3 * math.Sin(float64(i))}
+		fz.Add(s)
+		twin.Add(s)
+	}
+	fz.SettleBefore(math.Inf(1))
+	twin.SettleBefore(math.Inf(1))
+	const read = 48 // bins [0, 48) read: 3 s
+	for i := 0; i < read; i++ {
+		fz.ValueAt(i)
+	}
+	fz.EvictBefore((read - 1) * binSec) // the guard is bin 47
+	for _, s := range []core.DisplacementSample{
+		{T: 3.5, TPrev: 2.95, D: 0.004},  // from the guard bin
+		{T: 3.7, TPrev: 1.0, D: -0.003},  // from below the floor
+		{T: 2.5, TPrev: 2.0, D: 0.005},   // wholly below the floor
+		{T: 3.6, TPrev: 3.6, D: 0.002},   // degenerate, past the read position
+		{T: 3.65, TPrev: 3.62, D: 0.001}, // out of order
+	} {
+		fz.Add(s)
+	}
+	fz.SettleBefore(math.Inf(1))
+	end := 3.7 // the latest a late sample ends
+	for i := int(end/binSec) + 1; i < 200; i++ {
+		if g, w := fz.ValueAt(i), twin.ValueAt(i); math.Abs(g-w) > 1e-15 {
+			t.Fatalf("bin %d reads %.3g, %.3g without the late samples: a step of %.3g",
+				i, g, w, g-w)
 		}
 	}
 }
 
 // TestBinFuserDropsNonFiniteSamples deposits an infinite and a NaN
 // displacement, as a report on 0 Hz produces, among finite ones: the
-// bins must stay finite and equal those of the finite samples alone,
-// in both modes.
+// bins must stay finite and equal those of the finite samples alone.
 func TestBinFuserDropsNonFiniteSamples(t *testing.T) {
-	for _, literal := range []bool{false, true} {
-		fz := core.NewBinFuser(0.0625, literal, 0, 16)
-		twin := core.NewBinFuser(0.0625, literal, 0, 16)
-		for i := 1; i <= 40; i++ {
-			tt := float64(i) * 0.1
-			s := core.DisplacementSample{T: tt, TPrev: tt - 0.3, D: 1e-3 * math.Cos(float64(i))}
+	fz := core.NewBinFuser(0.0625, 0, 16)
+	twin := core.NewBinFuser(0.0625, 0, 16)
+	for i := 1; i <= 40; i++ {
+		tt := float64(i) * 0.1
+		s := core.DisplacementSample{T: tt, TPrev: tt - 0.3, D: 1e-3 * math.Cos(float64(i))}
+		fz.Add(s)
+		twin.Add(s)
+		if i == 10 || i == 20 {
+			s.D = math.Inf(1)
+			if i == 20 {
+				s.D = math.NaN()
+			}
 			fz.Add(s)
-			twin.Add(s)
-			if i == 10 || i == 20 {
-				s.D = math.Inf(1)
-				if i == 20 {
-					s.D = math.NaN()
-				}
-				fz.Add(s)
-			}
 		}
-		got, want := fz.Flush(0, 5), twin.Flush(0, 5)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("literal=%v bin %d: %v, %v without the non-finite samples", literal, i, got[i], want[i])
-			}
+	}
+	got, want := fz.Flush(0, 5), twin.Flush(0, 5)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("bin %d: %v, %v without the non-finite samples", i, got[i], want[i])
 		}
 	}
 }
@@ -675,7 +666,7 @@ func BenchmarkBinFuserAdd(b *testing.B) {
 	const binSec = 0.0625
 	for _, span := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("span=%d", span), func(b *testing.B) {
-			fz := core.NewBinFuser(binSec, false, 0, 0)
+			fz := core.NewBinFuser(binSec, 0, 0)
 			w := float64(span) * binSec
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

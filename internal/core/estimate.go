@@ -14,8 +14,8 @@ type UserEstimate struct {
 	// RateBPM is the mean breathing rate over the window (Eq. 5
 	// applied across all buffered crossings), in breaths per minute.
 	RateBPM float64
-	// RateSeries is the instantaneous Eq. 5 series (M = config's
-	// CrossingBufferM), for realtime visualization.
+	// RateSeries is the instantaneous Eq. 5 series (M = 7 crossings),
+	// for realtime visualization.
 	RateSeries []sigproc.Sample
 	// Signal is the extracted breathing waveform (Fig. 8).
 	Signal *BreathSignal
@@ -48,8 +48,12 @@ type UserEstimate struct {
 //
 // Users with too little data for extraction are omitted from the
 // result rather than reported with a zero rate; callers distinguish
-// "not monitorable" (absent) from "monitored, rate r".
+// "not monitorable" (absent) from "monitored, rate r". A HighCutHz
+// outside the extraction band is an error (see Config.HighCutHz).
 func Estimate(reports []reader.TagReport, cfg Config) (map[uint64]*UserEstimate, error) {
+	if err := cfg.checkBand(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	if mt := cfg.Metrics; mt != nil {
 		mt.Runs.Inc()

@@ -54,7 +54,7 @@ func (b *BreathSignal) IndexAt(t float64) int {
 
 // ExtractBreath runs the §IV-B extraction on a fused bin stream: the
 // bins are accumulated (Eq. 7) into a displacement trajectory, the
-// trajectory is band-pass filtered to [LowCutHz, HighCutHz] — through
+// trajectory is band-pass filtered to [lowCutHz, HighCutHz] — through
 // the FIR filter when cfg.Filter is FilterFIRBatch, the FFT filter
 // otherwise, and zero crossings are
 // detected away from the filter's edge-ringing region.
@@ -91,26 +91,26 @@ func ExtractBreath(bins []float64, binInterval, t0 float64, cfg Config) (*Breath
 			return nil, err
 		}
 		lp := sigproc.Convolve(traj, h)
-		width := int(rate/cfg.LowCutHz) | 1
+		width := int(rate/lowCutHz) | 1
 		drift := sigproc.MovingAverage(lp, width)
 		filtered = make([]float64, len(lp))
 		for i := range lp {
 			filtered[i] = lp[i] - drift[i]
 		}
 	} else {
-		filtered, err = sigproc.BandPassFFT(traj, rate, cfg.LowCutHz, cfg.HighCutHz)
+		filtered, err = sigproc.BandPassFFT(traj, rate, lowCutHz, cfg.HighCutHz)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	crossings := sigproc.ZeroCrossings(filtered, t0, rate, cfg.MinCrossingGap)
+	crossings := sigproc.ZeroCrossings(filtered, t0, rate, minCrossingGap)
 	// Trim crossings inside the edge-ringing margin of the filter and
 	// inside motion-blanked windows, where any crossing is artifact.
 	tEnd := t0 + float64(len(filtered))/rate
 	trimmed := crossings[:0]
 	for _, c := range crossings {
-		if c.T < t0+cfg.EdgeTrim || c.T > tEnd-cfg.EdgeTrim {
+		if c.T < t0+edgeTrim || c.T > tEnd-edgeTrim {
 			continue
 		}
 		inMotion := false

@@ -16,7 +16,6 @@ import (
 // standalone Differencer feeding a BinFuser. Retiring a vantage
 // replaces its Differencer, which forgets every stream it held.
 type feedReference struct {
-	cfg     Config
 	origin  float64
 	started bool
 	order   []vantage
@@ -25,10 +24,8 @@ type feedReference struct {
 	tags    map[vantage]map[uint32]bool
 }
 
-func newFeedReference(cfg Config) *feedReference {
-	cfg.fillDefaults()
+func newFeedReference() *feedReference {
 	return &feedReference{
-		cfg:    cfg,
 		dfs:    make(map[vantage]*Differencer),
 		fusers: make(map[vantage]*BinFuser),
 		tags:   make(map[vantage]map[uint32]bool),
@@ -43,8 +40,8 @@ func (ref *feedReference) feed(r reader.TagReport) {
 	v := vantage{reader: r.ReaderID, port: r.AntennaPort}
 	if _, ok := ref.dfs[v]; !ok {
 		ref.order = append(ref.order, v)
-		ref.dfs[v] = NewDifferencer(ref.cfg)
-		ref.fusers[v] = NewBinFuser(ref.cfg.BinInterval.Seconds(), ref.cfg.LiteralBinning, ref.origin, 16)
+		ref.dfs[v] = NewDifferencer()
+		ref.fusers[v] = NewBinFuser(binInterval, ref.origin, 16)
 		ref.tags[v] = make(map[uint32]bool)
 	}
 	ref.tags[v][r.EPC.TagID()] = true
@@ -56,7 +53,7 @@ func (ref *feedReference) feed(r reader.TagReport) {
 func (ref *feedReference) closeVantage(readerID string, port int) {
 	v := vantage{reader: readerID, port: port}
 	if _, ok := ref.dfs[v]; ok {
-		ref.dfs[v] = NewDifferencer(ref.cfg)
+		ref.dfs[v] = NewDifferencer()
 		ref.fusers[v].SettleBefore(math.Inf(1))
 	}
 }
@@ -145,40 +142,38 @@ func TestEngineFeedSteadyStateAllocs(t *testing.T) {
 // mid-stream. The fused bins must match the reference bit for
 // bit throughout.
 func TestEngineFeedHostileMatchesReference(t *testing.T) {
-	for _, cfg := range []Config{{}, {IgnoreChannelGrouping: true}, {LiteralBinning: true}} {
-		eng := NewEngine(cfg, EngineOptions{Window: 25, TickStride: 1, UserID: 7})
-		ref := newFeedReference(cfg)
-		channels := []int{0, 3, -1, -70000, 63, 64, 65535, 65536, 1 << 20}
-		const n = 30000
-		for i := 0; i < n; i++ {
-			ts := time.Duration(i) * 3 * time.Millisecond
-			var r reader.TagReport
-			switch i % 4 {
-			case 0: // 1000 tags on one vantage
-				r = hostileReport("r1", 2, 7, uint32(1+(i/4)%1000), (i/4000)%10, ts, float64(i)*0.11)
-			case 1: // hostile channels
-				r = hostileReport("r1", 1, 7, uint32(1+(i/4)%3), channels[(i/4)%len(channels)], ts, float64(i)*0.23)
-			case 2: // a second user with the same tag IDs on the same vantage
-				r = hostileReport("r1", 1, 8, uint32(1+(i/4)%3), (i/8)%12, ts, float64(i)*0.05)
-			default: // many vantages, the unnamed reader's among them
-				r = hostileReport([2]string{"", "r2"}[(i/4)%2], (i/8)%20-3, 7, 1, (i/16)%5, ts, float64(i)*0.07)
-			}
-			eng.Feed(r)
-			ref.feed(r)
-			if i == n/3 || i == n/2 {
-				eng.CloseVantage("r1", 1)
-				ref.closeVantage("r1", 1)
-				eng.CloseVantage("nobody", 1) // unknown vantages are a no-op
-				ref.closeVantage("nobody", 1)
-			}
-			if i%5000 == 0 {
-				compareFeed(t, eng, ref, ts.Seconds())
-			}
+	eng := NewEngine(Config{}, EngineOptions{Window: 25, TickStride: 1, UserID: 7})
+	ref := newFeedReference()
+	channels := []int{0, 3, -1, -70000, 63, 64, 65535, 65536, 1 << 20}
+	const n = 30000
+	for i := 0; i < n; i++ {
+		ts := time.Duration(i) * 3 * time.Millisecond
+		var r reader.TagReport
+		switch i % 4 {
+		case 0: // 1000 tags on one vantage
+			r = hostileReport("r1", 2, 7, uint32(1+(i/4)%1000), (i/4000)%10, ts, float64(i)*0.11)
+		case 1: // hostile channels
+			r = hostileReport("r1", 1, 7, uint32(1+(i/4)%3), channels[(i/4)%len(channels)], ts, float64(i)*0.23)
+		case 2: // a second user with the same tag IDs on the same vantage
+			r = hostileReport("r1", 1, 8, uint32(1+(i/4)%3), (i/8)%12, ts, float64(i)*0.05)
+		default: // many vantages, the unnamed reader's among them
+			r = hostileReport([2]string{"", "r2"}[(i/4)%2], (i/8)%20-3, 7, 1, (i/16)%5, ts, float64(i)*0.07)
 		}
-		compareFeed(t, eng, ref, (n * 3 * time.Millisecond).Seconds())
-		if g := eng.df.tagsOn(eng.ants[0].ri, 2); g != 1000 {
-			t.Fatalf("%+v: vantage r1/2 saw %d tags, want 1000", cfg, g)
+		eng.Feed(r)
+		ref.feed(r)
+		if i == n/3 || i == n/2 {
+			eng.CloseVantage("r1", 1)
+			ref.closeVantage("r1", 1)
+			eng.CloseVantage("nobody", 1) // unknown vantages are a no-op
+			ref.closeVantage("nobody", 1)
 		}
+		if i%5000 == 0 {
+			compareFeed(t, eng, ref, ts.Seconds())
+		}
+	}
+	compareFeed(t, eng, ref, (n * 3 * time.Millisecond).Seconds())
+	if g := eng.df.tagsOn(eng.ants[0].ri, 2); g != 1000 {
+		t.Fatalf("vantage r1/2 saw %d tags, want 1000", g)
 	}
 }
 
@@ -187,20 +182,11 @@ func TestEngineFeedHostileMatchesReference(t *testing.T) {
 // and through the slot-free reference; their fused bins must agree bit
 // for bit.
 func FuzzEngineFeed(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 1, 0, 3, 10, 1, 1, 1, 0, 3, 10, 1, 2, 2, 0, 4, 10})
-	f.Add([]byte{3, 0x21, 0xff, 7, 0x80, 0x00, 40, 0x42, 0x01, 9, 0x7f, 0xff, 200, 0x09, 0x03, 7, 0x00, 0x02, 5})
+	f.Add([]byte{1, 1, 1, 0, 3, 10, 1, 1, 1, 0, 3, 10, 1, 2, 2, 0, 4, 10})
+	f.Add([]byte{0x21, 0xff, 7, 0x80, 0x00, 40, 0x42, 0x01, 9, 0x7f, 0xff, 200, 0x09, 0x03, 7, 0x00, 0x02, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		cfg := Config{
-			IgnoreChannelGrouping: data[0]&1 != 0,
-			LiteralBinning:        data[0]&2 != 0,
-			PiAmbiguityMitigation: data[0]&4 != 0,
-		}
-		data = data[1:]
-		eng := NewEngine(cfg, EngineOptions{Window: 25, TickStride: 1, UserID: 1})
-		ref := newFeedReference(cfg)
+		eng := NewEngine(Config{}, EngineOptions{Window: 25, TickStride: 1, UserID: 1})
+		ref := newFeedReference()
 		var ts time.Duration
 		for ; len(data) >= 6; data = data[6:] {
 			b := data[:6]

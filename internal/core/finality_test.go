@@ -38,9 +38,7 @@ func TestStreamingRingFollowsFinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Filter: FilterFIRStreaming}
-	cfg.fillDefaults()
-	binSec := cfg.BinInterval.Seconds()
-	tickBins := int(1 / binSec)
+	tickBins := int(1 / binInterval)
 	// Live span at a tick: the bins awaiting finality, the guard bin
 	// EvictBefore keeps, and one tick's worth of new bins.
 	bound := 4 * (maxPendingBins + 1 + tickBins)

@@ -21,28 +21,22 @@ import (
 // together during inhalation (§IV-D.1) — while their independent phase
 // noise adds incoherently, improving SNR by roughly √n, and it runs the
 // expensive extraction once per user instead of once per tag (§IV-C).
-func FuseBins(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
-	return fuseBins(samples, binInterval, t0, t1, false)
-}
-
-// FuseBinsLiteral is the paper's Eq. 6 verbatim: each displacement
-// sample is deposited wholly into the bin containing its later
-// reading's timestamp. With dense reads it matches FuseBins; with
-// sparse streams it aliases multi-second displacements into single
-// bins, which is exactly the behaviour the spreading refinement (and
-// its ablation) exists to measure.
-func FuseBinsLiteral(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
-	return fuseBins(samples, binInterval, t0, t1, true)
-}
-
-// fuseBins is batch fusion on the streaming fuser's kernel: a BinFuser
+//
+// Each sample is spread uniformly over the interval it accrued across
+// (BinFuser.deposit), where the paper's Eq. 6 deposits it wholly in the
+// bin of its later reading. The two agree whenever each sample's
+// accrual interval lies within one bin, as with dense reads; with
+// sparse reads spreading keeps a multi-second displacement from
+// aliasing into a single bin.
+//
+// FuseBins is batch fusion on the streaming fuser's kernel: a BinFuser
 // anchored at t0 takes every sample of [t0, t1) in the given order, so
 // the two agree bit for bit.
-func fuseBins(samples []DisplacementSample, binInterval, t0, t1 float64, literal bool) []float64 {
+func FuseBins(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
 	if binInterval <= 0 || t1 <= t0 {
 		return nil
 	}
-	f := NewBinFuser(binInterval, literal, t0, int((t1-t0)/binInterval)+2)
+	f := NewBinFuser(binInterval, t0, int((t1-t0)/binInterval)+2)
 	for _, s := range samples {
 		if s.T >= t0 && s.T < t1 {
 			f.deposit(s)

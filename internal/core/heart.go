@@ -38,9 +38,7 @@ const (
 // number. (The paper's related work reaches heart rate only with
 // purpose-built radios; this extension shows how far a commodity
 // reader gets.)
-func EstimateHeartRate(reports []reader.TagReport, userID uint64, cfg Config) (*HeartEstimate, error) {
-	cfg.fillDefaults()
-	cfg.Users = []uint64{userID}
+func EstimateHeartRate(reports []reader.TagReport, userID uint64) (*HeartEstimate, error) {
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("core: no reports")
 	}
@@ -57,7 +55,7 @@ func EstimateHeartRate(reports []reader.TagReport, userID uint64, cfg Config) (*
 	// natural cutoff.
 	maxSpan := 0.5 / heartHighHz
 
-	df := NewDifferencer(cfg)
+	df := NewDifferencer()
 	var samples []DisplacementSample
 	for _, r := range reports {
 		if r.EPC.UserID() != userID {
@@ -72,9 +70,8 @@ func EstimateHeartRate(reports []reader.TagReport, userID uint64, cfg Config) (*
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
 
-	binSec := cfg.BinInterval.Seconds()
-	bins := FuseBins(samples, binSec, t0, t1)
-	rate := 1 / binSec
+	bins := FuseBins(samples, binInterval, t0, t1)
+	rate := 1 / binInterval
 
 	// Work in the velocity domain (the fused bins themselves, not
 	// their cumulative sum): differencing whitens the phase noise

@@ -36,7 +36,7 @@ func TestHeartRateWithResearchGradeFrontEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		uid := res.UserIDs[0]
-		est, err := core.EstimateHeartRate(res.Reports, uid, core.Config{})
+		est, err := core.EstimateHeartRate(res.Reports, uid)
 		if err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
@@ -65,7 +65,7 @@ func TestHeartRateCommodityFloorIsGated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0], core.Config{})
+		est, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0])
 		if err != nil {
 			continue // no cardiac content at all is also an honest answer
 		}
@@ -88,7 +88,7 @@ func TestHeartRateNoCardiacComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0], core.Config{})
+	est, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0])
 	if err != nil {
 		return // acceptable: nothing to estimate
 	}
@@ -98,7 +98,7 @@ func TestHeartRateNoCardiacComponent(t *testing.T) {
 }
 
 func TestHeartRateValidation(t *testing.T) {
-	if _, err := core.EstimateHeartRate(nil, 1, core.Config{}); err == nil {
+	if _, err := core.EstimateHeartRate(nil, 1); err == nil {
 		t.Error("expected error for empty reports")
 	}
 	sc := heartScenario(91, 72, 0.01)
@@ -107,7 +107,7 @@ func TestHeartRateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0], core.Config{}); err == nil {
+	if _, err := core.EstimateHeartRate(res.Reports, res.UserIDs[0]); err == nil {
 		t.Error("expected error for a 5 s window")
 	}
 	longer := heartScenario(92, 72, 0.01)
@@ -115,7 +115,7 @@ func TestHeartRateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EstimateHeartRate(longerRes.Reports, 0xBAD, core.Config{}); err == nil {
+	if _, err := core.EstimateHeartRate(longerRes.Reports, 0xBAD); err == nil {
 		t.Error("expected error for unknown user")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 
 	"tagbreathe/internal/obs"
@@ -180,9 +181,25 @@ func NewMonitorMetrics(r *obs.Registry) *MonitorMetrics {
 // streaming engine holds in the microseconds (BenchmarkMonitorTickWindow)
 // — far below obs.DefBuckets' 0.5 ms floor. The ledger's
 // monitor.tick_p50_us and monitor.tick_p99_us come from this
-// histogram, so the grid runs 1 µs → ~0.26 s in powers of four.
-var ShardTickBuckets = []float64{
-	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3,
+// histogram. The grid is log-linear, four buckets per power of two
+// from 1 µs to 2¹⁸ µs ≈ 0.26 s (73 bounds, one unlabelled family): a
+// bucket spans at most a quarter of its lower edge, so when a few
+// slow ticks push a quantile across an edge, the interpolated
+// quantile moves by a fraction of its value rather than a bucket's
+// width.
+var ShardTickBuckets = logLinearBuckets(1e-6, 18, 4)
+
+// logLinearBuckets returns bounds from start to start·2^octaves with
+// perOctave equal-width buckets inside each power of two.
+func logLinearBuckets(start float64, octaves, perOctave int) []float64 {
+	out := make([]float64, 0, octaves*perOctave+1)
+	for o := 0; o < octaves; o++ {
+		lo := math.Ldexp(start, o)
+		for k := 0; k < perOctave; k++ {
+			out = append(out, lo*(1+float64(k)/float64(perOctave)))
+		}
+	}
+	return append(out, math.Ldexp(start, octaves))
 }
 
 // WorkerLabel formats a shard worker index for the "worker" label.

@@ -199,3 +199,34 @@ func TestEstimateMetrics(t *testing.T) {
 		t.Errorf("worker utilization = %v, want (0, 1]", util)
 	}
 }
+
+// TestShardTickP99MovesSmoothly pins what the log-linear tick grid is
+// for: when 2 % of ticks near 4 ms run slower, the interpolated p99
+// moves by a fraction of its value (a power-of-four grid put it at
+// 10 ms).
+func TestShardTickP99MovesSmoothly(t *testing.T) {
+	b := core.ShardTickBuckets
+	if len(b) != 73 || b[0] != 1e-6 || b[len(b)-1] < 0.25 {
+		t.Fatalf("grid has %d bounds over [%g, %g] s, want 73 over [1e-6, 0.26]", len(b), b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if !(b[i] > b[i-1]) || b[i]-b[i-1] > b[i-1]/4*(1+1e-12) {
+			t.Fatalf("bound %d: %g after %g, want a step of at most a quarter", i, b[i], b[i-1])
+		}
+	}
+	reg := obs.NewRegistry()
+	quiet := reg.Histogram("quiet_seconds", "quiet ticks", b)
+	loaded := reg.Histogram("loaded_seconds", "ticks with a slow tail", b)
+	for i := 0; i < 1000; i++ {
+		quiet.Observe(3.9e-3)
+		v := 3.9e-3
+		if i%50 == 0 {
+			v = 5e-3
+		}
+		loaded.Observe(v)
+	}
+	q, l := quiet.Quantile(0.99), loaded.Quantile(0.99)
+	if !(l >= q && l < 1.5*q) {
+		t.Fatalf("p99 %.3g ms quiet, %.3g ms with 2 %% slow ticks: want under 1.5x", q*1e3, l*1e3)
+	}
+}

@@ -142,8 +142,8 @@ type RateUpdate struct {
 	// RateBPM is the Eq. 5 estimate over the window's buffered
 	// crossings.
 	RateBPM float64
-	// InstantBPM is the Eq. 5 estimate over the most recent
-	// CrossingBufferM crossings (the paper's realtime figure).
+	// InstantBPM is the Eq. 5 estimate over the most recent M = 7
+	// crossings (the paper's realtime figure).
 	InstantBPM float64
 	// Crossings is how many zero crossings the window held.
 	Crossings int
@@ -231,6 +231,10 @@ type Monitor struct {
 
 // NewMonitor starts a streaming monitor. Callers must eventually call
 // Stop (or CloseInput and drain Updates) to release its goroutines.
+//
+// cfg.Pipeline.HighCutHz must lie inside the extraction band (see
+// Config.HighCutHz). NewMonitor does not check it: MonitorStream does,
+// and a caller that builds a monitor directly owns the check.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	cfg.fillDefaults()
 	m := &Monitor{
@@ -433,7 +437,7 @@ type shardInput struct {
 	// vantage for this user, and the worker must retire its phase
 	// streams (Engine.CloseVantage) instead of feeding the report. An
 	// open stream that will never read again pins the finality horizon
-	// for MaxPhaseGap and stalls the user's whole chain — coherent
+	// for maxPhaseGap and stalls the user's whole chain — coherent
 	// shedding must close what it silences.
 	closeVantage bool
 }
@@ -801,6 +805,9 @@ func (m *Monitor) FreshnessCheck() func() error {
 // MonitorStream is a convenience for trace replay: it pumps reports
 // into a fresh monitor, closes the input, and returns all updates.
 func MonitorStream(reports []reader.TagReport, cfg MonitorConfig) ([]RateUpdate, error) {
+	if err := cfg.Pipeline.checkBand(); err != nil {
+		return nil, err
+	}
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("core: empty report stream")
 	}

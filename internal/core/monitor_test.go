@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,46 @@ func runScenario(t *testing.T, seed int64, mutate func(*sim.Scenario)) *sim.Resu
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestHighCutHzOutsideBandIsAnError replays a 10 bpm user with cutoffs
+// on both sides of the extraction band's edges (0.05 Hz high-pass,
+// 8 Hz Nyquist of the 16 Hz bin grid). Outside the band every entry
+// point and filter returns an error naming the band, where each used
+// to return a wrong rate or nothing with a nil error; inside it, each
+// still estimates.
+func TestHighCutHzOutsideBandIsAnError(t *testing.T) {
+	res := runScenario(t, 26, nil)
+	uid := res.UserIDs[0]
+	for _, tc := range []struct {
+		cut    float64
+		reject bool
+	}{
+		{0.04, true}, {0.05, true}, {8, true}, {9, true},
+		{0, false}, {0.67, false}, {1.1, false},
+	} {
+		for _, mode := range []core.FilterMode{core.FilterFFT, core.FilterFIRBatch, core.FilterFIRStreaming} {
+			cfg := core.Config{HighCutHz: tc.cut, Filter: mode}
+			ests, err := core.Estimate(res.Reports, cfg)
+			_, userErr := core.EstimateUser(res.Reports, uid, cfg)
+			ups, streamErr := core.MonitorStream(res.Reports, core.MonitorConfig{Pipeline: cfg, UpdateEvery: 5 * time.Second})
+			if !tc.reject {
+				if err != nil || userErr != nil || streamErr != nil || ests[uid] == nil || len(ups) == 0 {
+					t.Errorf("HighCutHz %v, mode %v: errors %v, %v, %v; %d estimates, %d updates",
+						tc.cut, mode, err, userErr, streamErr, len(ests), len(ups))
+				}
+				continue
+			}
+			for name, e := range map[string]error{"Estimate": err, "EstimateUser": userErr, "MonitorStream": streamErr} {
+				if e == nil || !strings.Contains(e.Error(), "(0.05, 8) Hz") {
+					t.Errorf("HighCutHz %v, mode %v: %s error %v, want one naming the band", tc.cut, mode, name, e)
+				}
+			}
+			if ests != nil || ups != nil {
+				t.Errorf("HighCutHz %v, mode %v: %d estimates and %d updates beside the error", tc.cut, mode, len(ests), len(ups))
+			}
+		}
+	}
 }
 
 func TestMonitorStreamProducesUpdates(t *testing.T) {

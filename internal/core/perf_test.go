@@ -53,7 +53,7 @@ func BenchmarkEstimateBatch(b *testing.B) {
 // streaming pipeline's first stage.
 func BenchmarkDifferencerIngest(b *testing.B) {
 	res := benchReports(b)
-	df := core.NewDifferencer(core.Config{})
+	df := core.NewDifferencer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,7 +54,7 @@ func TestDifferencerReconstructsMotionSingleChannel(t *testing.T) {
 	dist := func(t float64) float64 { return 4 + amp*math.Sin(2*math.Pi*f0*t) }
 	reports := syntheticReports(1, 1, 1, dist, 30, 64, 1, 0.2)
 
-	df := NewDifferencer(Config{})
+	df := NewDifferencer()
 	var samples []DisplacementSample
 	for _, r := range reports {
 		if d, ok := df.Ingest(r); ok {
@@ -89,7 +89,7 @@ func TestDifferencerHopImmunity(t *testing.T) {
 	dist := func(t float64) float64 { return 4 + amp*math.Sin(2*math.Pi*f0*t) }
 	reports := syntheticReports(1, 1, 1, dist, 30, 64, 10, 0.2)
 
-	df := NewDifferencer(Config{})
+	df := NewDifferencer()
 	var samples []DisplacementSample
 	for _, r := range reports {
 		if d, ok := df.Ingest(r); ok {
@@ -157,7 +157,7 @@ func TestDifferencerSeparatesChannels(t *testing.T) {
 	// first ~10 reports yield no samples.
 	dist := func(t float64) float64 { return 4 }
 	reports := syntheticReports(1, 1, 1, dist, 4.0, 10, 10, 0.2)
-	df := NewDifferencer(Config{})
+	df := NewDifferencer()
 	var got int
 	primed := map[int]bool{}
 	for _, r := range reports {
@@ -179,8 +179,7 @@ func TestDifferencerSeparatesChannels(t *testing.T) {
 }
 
 func TestDifferencerMaxGap(t *testing.T) {
-	cfg := Config{MaxPhaseGap: 1}
-	df := NewDifferencer(cfg)
+	df := NewDifferencer()
 	mk := func(ts float64) reader.TagReport {
 		return reader.TagReport{
 			EPC:          epc.NewUserTagEPC(1, 1),
@@ -192,24 +191,26 @@ func TestDifferencerMaxGap(t *testing.T) {
 		}
 	}
 	df.Ingest(mk(0))
-	if _, ok := df.Ingest(mk(0.5)); !ok {
-		t.Error("0.5 s gap within MaxPhaseGap rejected")
+	t1 := maxPhaseGap - 0.5
+	if _, ok := df.Ingest(mk(t1)); !ok {
+		t.Errorf("%v s gap within the %v s limit rejected", t1, maxPhaseGap)
 	}
-	if _, ok := df.Ingest(mk(2.0)); ok {
-		t.Error("1.5 s gap beyond MaxPhaseGap accepted")
+	t2 := t1 + maxPhaseGap + 0.5
+	if _, ok := df.Ingest(mk(t2)); ok {
+		t.Errorf("%v s gap beyond the %v s limit accepted", t2-t1, maxPhaseGap)
 	}
 	// The rejected reading still primes for the next one.
-	if _, ok := df.Ingest(mk(2.5)); !ok {
+	if _, ok := df.Ingest(mk(t2 + 0.5)); !ok {
 		t.Error("reading after re-prime rejected")
 	}
 	// Non-advancing timestamps never difference.
-	if _, ok := df.Ingest(mk(2.5)); ok {
+	if _, ok := df.Ingest(mk(t2 + 0.5)); ok {
 		t.Error("duplicate timestamp accepted")
 	}
 }
 
 func TestDifferencerReset(t *testing.T) {
-	df := NewDifferencer(Config{})
+	df := NewDifferencer()
 	r := reader.TagReport{
 		EPC: epc.NewUserTagEPC(1, 1), AntennaPort: 1,
 		Frequency: 920e6, Timestamp: time.Second, Phase: 1,
@@ -222,60 +223,27 @@ func TestDifferencerReset(t *testing.T) {
 	}
 }
 
-func TestFoldPi(t *testing.T) {
-	tests := []struct {
-		in, want float64
-	}{
-		{0, 0},
-		{0.3, 0.3},
-		{-0.3, -0.3},
-		{math.Pi, 0},
-		{-math.Pi, 0},
-		{math.Pi/2 + 0.1, 0.1 - math.Pi/2},
-		{2.0, 2.0 - math.Pi},
+// fuseBinsVerbatim is the paper's Eq. 6 word for word, the oracle the
+// fusion tests hold FuseBins against: each sample of [t0, t1) lands
+// wholly in the bin of its later reading, and one in the window's
+// fractional tail lands in the last bin.
+func fuseBinsVerbatim(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
+	n := int((t1 - t0) / binInterval)
+	if n <= 0 {
+		return nil
 	}
-	for _, tt := range tests {
-		got := float64(foldPi(units.Radians(tt.in)))
-		if math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("foldPi(%v) = %v, want %v", tt.in, got, tt.want)
+	bins := make([]float64, n)
+	for _, s := range samples {
+		if s.T >= t0 && s.T < t1 {
+			bins[min(int((s.T-t0)/binInterval), n-1)] += s.D
 		}
 	}
-}
-
-func TestPiAmbiguityMitigationRecoversMotion(t *testing.T) {
-	// Synthetic stream with deliberate π flips on odd reads: with the
-	// mitigation enabled, the reconstruction still tracks motion.
-	amp := 0.004
-	dist := func(t float64) float64 { return 4 + amp*math.Sin(2*math.Pi*0.2*t) }
-	reports := syntheticReports(1, 1, 1, dist, 20, 64, 1, 0.2)
-	for i := range reports {
-		if i%2 == 1 {
-			reports[i].Phase = units.WrapPhase(reports[i].Phase + math.Pi)
-		}
-	}
-	df := NewDifferencer(Config{PiAmbiguityMitigation: true})
-	var samples []DisplacementSample
-	for _, r := range reports {
-		if d, ok := df.Ingest(r); ok {
-			samples = append(samples, d.Sample)
-		}
-	}
-	traj := AccumulateDisplacement(samples)
-	base := dist(traj[0].T)
-	var worst float64
-	for _, s := range traj {
-		if e := math.Abs(s.V - (dist(s.T) - base)); e > worst {
-			worst = e
-		}
-	}
-	if worst > 5e-4 {
-		t.Errorf("π-ambiguous reconstruction error %v m, want < 0.5 mm", worst)
-	}
+	return bins
 }
 
 func TestFuseBinsConservation(t *testing.T) {
-	// Property: total displacement is conserved by binning, in both
-	// literal and spreading modes, for samples inside the window.
+	// Property: total displacement is conserved by binning, both by
+	// FuseBins and by the verbatim Eq. 6, for samples inside the window.
 	f := func(raw []float64) bool {
 		var samples []DisplacementSample
 		tt := 0.1
@@ -296,7 +264,7 @@ func TestFuseBinsConservation(t *testing.T) {
 		}
 		for _, bins := range [][]float64{
 			FuseBins(samples, 0.0625, 0, 100),
-			FuseBinsLiteral(samples, 0.0625, 0, 100),
+			fuseBinsVerbatim(samples, 0.0625, 0, 100),
 		} {
 			var got float64
 			for _, b := range bins {
@@ -328,10 +296,39 @@ func TestFuseBinsSpreading(t *testing.T) {
 	if bins[4] != 0 {
 		t.Errorf("bin 4 = %v, want 0", bins[4])
 	}
-	// Literal mode puts everything in the ending bin.
-	lit := FuseBinsLiteral(s, 0.1, 0, 0.5)
+	// The verbatim Eq. 6 puts everything in the ending bin.
+	lit := fuseBinsVerbatim(s, 0.1, 0, 0.5)
 	if lit[4] != 0.008 || lit[0] != 0 {
-		t.Errorf("literal bins = %v", lit)
+		t.Errorf("verbatim Eq. 6 bins = %v", lit)
+	}
+}
+
+// TestFuseBinsMatchesEq6OnDenseReads pins where spreading and the
+// paper's Eq. 6 agree: when every sample accrues within one bin, as
+// dense reads do, each lands wholly in the bin of its later reading
+// either way.
+func TestFuseBinsMatchesEq6OnDenseReads(t *testing.T) {
+	const binSec = 0.0625
+	var samples []DisplacementSample
+	for i := 0; i < 1600; i++ {
+		// Four reads per bin, each accruing from the previous read of
+		// its bin (or the bin's left edge), never across an edge.
+		bin, k := i/4, i%4
+		edge := float64(bin) * binSec
+		tprev := edge + float64(k)*binSec/5
+		samples = append(samples, DisplacementSample{
+			T: tprev + binSec/5, TPrev: tprev + 1e-9, D: 1e-3 * math.Sin(float64(i)*0.37),
+		})
+	}
+	got := FuseBins(samples, binSec, 0, 400*binSec)
+	want := fuseBinsVerbatim(samples, binSec, 0, 400*binSec)
+	if len(got) != len(want) {
+		t.Fatalf("%d bins, verbatim Eq. 6 %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-15 {
+			t.Fatalf("bin %d: %.17g, verbatim Eq. 6 %.17g", i, got[i], want[i])
+		}
 	}
 }
 

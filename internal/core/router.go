@@ -280,7 +280,7 @@ func newRouter(m *Monitor, ticks chan<- *monitorTick) *router {
 	if m.cfg.Degrade.enabled() {
 		d := m.cfg.Degrade
 		d.fillDefaults()
-		engage := int(float64(m.cfg.ShardQueue) * d.EngageFraction)
+		engage := int(float64(m.cfg.ShardQueue) * d.engageFraction)
 		rt.shedMark = (engage + m.cfg.ShardQueue) / 2
 	}
 	rt.shedMark = max(rt.shedMark, 1)
@@ -354,7 +354,7 @@ func (rt *router) route(r *reader.TagReport) bool {
 // coherently, not report-by-report: the differencer's streams are per
 // (vantage, channel), and a stream that keeps receiving occasional
 // reads while its siblings starve pins the finality horizon
-// (EarliestOpenStream) for MaxPhaseGap — stalling the user's primary
+// (EarliestOpenStream) for maxPhaseGap — stalling the user's primary
 // chain too. So the first redundant report shed for a vantage closes a
 // gate: that report travels to the worker as a tombstone
 // (Engine.CloseVantage retires the phase streams), everything after it

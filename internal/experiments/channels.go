@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"tagbreathe/internal/core"
+	"tagbreathe/internal/reader"
 	"tagbreathe/internal/rf"
 	"tagbreathe/internal/sim"
 )
@@ -59,7 +60,7 @@ func ChannelStudy(o Options) ([]ChannelPoint, error) {
 				gN++
 				gSum += core.Accuracy(est.RateBPM, truth)
 			}
-			if est, err := core.EstimateUser(res.Reports, uid, core.Config{IgnoreChannelGrouping: true}); err == nil {
+			if est, err := core.EstimateUser(oneChannel(res.Reports), uid, core.Config{}); err == nil {
 				nN++
 				nSum += core.Accuracy(est.RateBPM, truth)
 			}
@@ -78,4 +79,16 @@ func ChannelStudy(o Options) ([]ChannelPoint, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// oneChannel copies reports with every channel index set to 0, so Eq. 3
+// differences consecutive phases across hops as a naive implementation
+// would: the per-channel constant c then changes every dwell.
+func oneChannel(reports []reader.TagReport) []reader.TagReport {
+	out := make([]reader.TagReport, len(reports))
+	for i, r := range reports {
+		r.ChannelIndex = 0
+		out[i] = r
+	}
+	return out
 }

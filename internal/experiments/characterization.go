@@ -47,6 +47,9 @@ type Characterization struct {
 	TrueRateBPM float64
 	// EstimatedRateBPM is the pipeline's estimate over the window.
 	EstimatedRateBPM float64
+	// RealtimeBPM is the Eq. 5 realtime series (M = 7 crossings per
+	// estimate) the batch pipeline reports over the same window.
+	RealtimeBPM []float64
 }
 
 // RunCharacterization executes the §IV-A initial experiment.
@@ -92,8 +95,7 @@ func RunCharacterization(seed int64) (*Characterization, error) {
 	}
 
 	// Fig. 6: displacement via the pipeline front end.
-	cfg := core.Config{Users: res.UserIDs}
-	df := core.NewDifferencer(cfg)
+	df := core.NewDifferencer()
 	var samples []core.DisplacementSample
 	for _, r := range res.Reports {
 		if d, ok := df.Ingest(r); ok {
@@ -118,7 +120,7 @@ func RunCharacterization(seed int64) (*Characterization, error) {
 	binSec := 1.0 / 16
 	bins := core.FuseBins(samples, binSec, t0, t1)
 	ch.SpectrumFreqs, ch.SpectrumMags = core.Spectrum(bins, binSec)
-	sig, err := core.ExtractBreath(bins, binSec, t0, cfg)
+	sig, err := core.ExtractBreath(bins, binSec, t0, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -129,5 +131,10 @@ func RunCharacterization(seed int64) (*Characterization, error) {
 	}
 	ch.Crossings = sig.Crossings
 	ch.EstimatedRateBPM = sig.OverallRateBPM()
+	if est, err := core.EstimateUser(res.Reports, res.UserIDs[0], core.Config{}); err == nil {
+		for _, s := range est.RateSeries {
+			ch.RealtimeBPM = append(ch.RealtimeBPM, s.V)
+		}
+	}
 	return ch, nil
 }

@@ -50,7 +50,7 @@ func HeartStudy(o Options) ([]HeartPoint, error) {
 			}
 			trials++
 			uid := res.UserIDs[0]
-			est, err := core.EstimateHeartRate(res.Reports, uid, core.Config{})
+			est, err := core.EstimateHeartRate(res.Reports, uid)
 			if err != nil {
 				continue
 			}

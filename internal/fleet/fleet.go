@@ -28,8 +28,8 @@
 // vantage until pressure clears. Thinning a vantage report-by-report
 // would leave some of its per-channel phase streams half-alive, and a
 // stream that keeps receiving occasional reads pins the pipeline's
-// finality horizon for MaxPhaseGap, stalling the user's primary chain
-// too; full silence expires cleanly. Every shed is partitioned by
+// finality horizon for the 12 s Eq. 3 phase gap, stalling the user's
+// primary chain too; full silence expires cleanly. Every shed is partitioned by
 // class in Metrics.ReaderShedByClass.
 package fleet
 

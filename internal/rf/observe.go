@@ -49,12 +49,6 @@ type ObserverConfig struct {
 	// MultipathPhaseRippleRad couples the same standing wave into the
 	// phase measurement, weakly.
 	MultipathPhaseRippleRad float64
-	// PiAmbiguity, when true, flips each reported phase by π with
-	// probability one half, emulating readers that cannot resolve the
-	// BPSK constellation orientation between inventory rounds. The
-	// paper's prototype does not exhibit this; the flag exists to test
-	// the pipeline's ambiguity mitigation.
-	PiAmbiguity bool
 }
 
 // DefaultObserverConfig returns Impinj R420-like reporting behaviour.
@@ -207,9 +201,6 @@ func (o *Observer) Observe(req ReadRequest) Observation {
 	noisy := truePhase +
 		o.budget.PhaseNoiseStdDev(link)*o.rng.NormFloat64() +
 		o.cfg.MultipathPhaseRippleRad*standingWave
-	if o.cfg.PiAmbiguity && o.rng.Intn(2) == 1 {
-		noisy += math.Pi
-	}
 	phase := quantizePhase(units.WrapPhase(units.Radians(noisy)), o.cfg.PhaseQuantizationSteps)
 
 	// RSSI: link power plus multipath ripple and measurement noise,

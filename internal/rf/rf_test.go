@@ -355,24 +355,3 @@ func TestObserverDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestObserverPiAmbiguity(t *testing.T) {
-	cfg := DefaultObserverConfig()
-	cfg.PiAmbiguity = true
-	obs := NewObserver(DefaultLinkBudget(), cfg, rand.New(rand.NewSource(12)))
-	f := units.Hertz(920 * units.MHz)
-	req := ReadRequest{TagID: 5, Antenna: 1, Channel: 2, Frequency: f, Distance: 4}
-	flips := 0
-	prev := obs.Observe(req).Phase
-	for i := 0; i < 200; i++ {
-		p := obs.Observe(req).Phase
-		d := math.Abs(float64(units.WrapPhaseDiff(p - prev)))
-		if d > math.Pi/2 {
-			flips++
-		}
-		prev = p
-	}
-	if flips < 50 {
-		t.Errorf("only %d/200 reads flipped by π; ambiguity not active", flips)
-	}
-}

@@ -60,7 +60,7 @@ import (
 type (
 	// Config tunes the TagBreathe pipeline; the zero value uses the
 	// paper's parameters (0.67 Hz cutoff, M = 7 crossings, 16 Hz
-	// fusion bins).
+	// fusion bins), of which only the cutoff is settable.
 	Config = core.Config
 	// UserEstimate is the pipeline output for one user.
 	UserEstimate = core.UserEstimate
@@ -116,17 +116,6 @@ const (
 	// OverloadDropNewest sheds the incoming report for a full shard
 	// queue and counts it (MonitorStats.Dropped).
 	OverloadDropNewest = core.OverloadDropNewest
-)
-
-// Vantage classes for quality-aware shedding (ShedClass values, worst
-// to shed first: redundant, then unknown, then primary).
-const (
-	// ShedUnknown: the user has no selected vantage yet.
-	ShedUnknown = core.ShedUnknown
-	// ShedPrimary: the report is from the user's selected vantage.
-	ShedPrimary = core.ShedPrimary
-	// ShedRedundant: the report is from a non-selected vantage.
-	ShedRedundant = core.ShedRedundant
 )
 
 // Reader-facing types.
@@ -185,16 +174,6 @@ type (
 	// LLRPSessionConfig tunes the session's reconnect and watchdog
 	// policy.
 	LLRPSessionConfig = llrp.SessionConfig
-	// LLRPSessionState is the session's lifecycle state.
-	LLRPSessionState = llrp.SessionState
-)
-
-// LLRP session lifecycle states (see LLRPSession.State).
-const (
-	SessionConnecting = llrp.SessionConnecting
-	SessionUp         = llrp.SessionUp
-	SessionBackoff    = llrp.SessionBackoff
-	SessionClosed     = llrp.SessionClosed
 )
 
 // Estimate runs the batch pipeline over a report window and returns
@@ -233,8 +212,8 @@ type HeartEstimate = core.HeartEstimate
 // HeartEstimate.PeakProminence before trusting the rate — commodity
 // readers' phase-noise floor buries the ~0.35 mm apex beat (see the
 // heart study in EXPERIMENTS.md).
-func EstimateHeartRate(reports []TagReport, userID uint64, cfg Config) (*HeartEstimate, error) {
-	return core.EstimateHeartRate(reports, userID, cfg)
+func EstimateHeartRate(reports []TagReport, userID uint64) (*HeartEstimate, error) {
+	return core.EstimateHeartRate(reports, userID)
 }
 
 // DefaultScenario returns the paper's Table I default experiment:
@@ -343,21 +322,6 @@ type (
 	Tracer = obs.Tracer
 	// TracerConfig tunes a Tracer's sampling stride and exemplar ring.
 	TracerConfig = obs.TracerConfig
-	// TraceStage is one stamped pipeline position of a sampled report.
-	TraceStage = obs.Stage
-	// TraceExemplar is one completed trace, as served by /debug/traces.
-	TraceExemplar = obs.TraceExemplar
-)
-
-// Trace stages, in pipeline order.
-const (
-	StageRead    = obs.StageRead
-	StageForward = obs.StageForward
-	StageIngest  = obs.StageIngest
-	StageDemux   = obs.StageDemux
-	StageWorker  = obs.StageWorker
-	StageFeed    = obs.StageFeed
-	StageEmit    = obs.StageEmit
 )
 
 // NewTracer wires a pipeline tracer's instruments into r (nil r: live

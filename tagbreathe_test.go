@@ -172,7 +172,7 @@ func TestPublicAPIMotionAndHeart(t *testing.T) {
 	}
 	// The cardiac path runs (result quality depends on the noise
 	// floor; only the API contract is asserted here).
-	if _, err := tagbreathe.EstimateHeartRate(res.Reports, res.UserIDs[0], tagbreathe.Config{}); err != nil {
+	if _, err := tagbreathe.EstimateHeartRate(res.Reports, res.UserIDs[0]); err != nil {
 		t.Logf("heart estimate unavailable: %v (acceptable at commodity floor)", err)
 	}
 }
