@@ -312,7 +312,7 @@ func streamSession(addr string, listenFor time.Duration, o runOptions) ([]tagbre
 }
 
 // streamFleet is the multi-reader -connect path: every endpoint gets a
-// supervised session under the fleet registry, and all report streams
+// supervised session in the fleet, and all report streams
 // merge — provenance-tagged — into the one live monitor, where the
 // (reader, antenna) selection picks each user's best vantage per
 // window. Fleet state serves at /debug/fleet and every reader
@@ -363,7 +363,7 @@ func streamFleet(targets []string, listenFor time.Duration, o runOptions) ([]tag
 		// /healthz degrades to 503 while any reader is down, and names
 		// the down readers both in the aggregate fleet check and in
 		// each reader's own check; /debug/fleet serves the live
-		// per-reader registry state plus the monitor's degradation
+		// per-reader state plus the monitor's degradation
 		// ladder as JSON.
 		o.dbg.AddHealthCheck("fleet", f.Healthy)
 		for _, c := range cfgs {

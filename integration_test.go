@@ -115,9 +115,8 @@ func TestLLRPFullSystem(t *testing.T) {
 	})
 
 	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
-		Addr:        addr,
-		ROSpec:      tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
-		MaxAttempts: 1,
+		Addr:   addr,
+		ROSpec: tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +226,9 @@ func TestLLRPWireMonitorLossless(t *testing.T) {
 		counted <- n
 	}()
 	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
-		Addr:        addr,
-		ROSpec:      tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
-		MaxAttempts: 1,
-		Tracer:      tracer,
+		Addr:   addr,
+		ROSpec: tagbreathe.ROSpecConfig{ROSpecID: 1, ReportEveryN: 64},
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,7 @@ type MonitorConfig struct {
 	// ShardQueue bounds each shard worker's input queue (reports +
 	// analysis ticks); default 256. A reader singulates a given user's
 	// tags at a few tens of Hz, so the default absorbs multi-second
-	// analysis stalls before the Overload policy engages. Capacity
-	// runs at 10⁵ users want this in the thousands so a tick's worth
-	// of per-worker analysis doesn't immediately saturate the queue.
+	// analysis stalls before the Overload policy engages.
 	ShardQueue int
 	// ShardWorkers sizes the shard worker pool — the event-loop
 	// goroutines that own the per-user engines. Default GOMAXPROCS.

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,25 +14,24 @@ import (
 	"tagbreathe/internal/reader"
 )
 
-// TestFleetRemoveAccountsEveryDecodedReport removes a reader mid-stream
+// TestFleetCloseAccountsEveryDecodedReport closes a fleet mid-stream
 // while a slow consumer keeps the merged channel at its shed mark.
-// Every report a reader decoded must end up received or shed: once a
-// Remove returns, the reader's counts freeze, the consumer sees exactly
-// the reports counted received, and across readers received + shed
-// equals what the clients decoded.
-func TestFleetRemoveAccountsEveryDecodedReport(t *testing.T) {
+// Every report a reader decoded must end up received or shed: once
+// Close returns the counts are final, the consumer has seen exactly the
+// reports each reader counted received, and received + shed equals
+// what the clients decoded.
+func TestFleetCloseAccountsEveryDecodedReport(t *testing.T) {
 	cm := llrp.NewClientMetrics(nil)
 	tmpl := sessionTemplate()
 	tmpl.ClientMetrics = cm
 	m := fleet.NewMetrics(nil)
-	f := startFleetTest(t, fleet.Config{
+	f := startFleetTest(t, 16, fleet.Config{
 		Readers: []fleet.ReaderConfig{
 			{Name: "east", Addr: startServer(t)},
 			{Name: "west", Addr: startServer(t)},
 		},
-		Session:      tmpl,
-		ReportBuffer: 16,
-		Metrics:      m,
+		Session: tmpl,
+		Metrics: m,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -67,15 +67,12 @@ func TestFleetRemoveAccountsEveryDecodedReport(t *testing.T) {
 	}
 	waitFlowing("east")
 	waitFlowing("west")
-	if err := f.Remove("east"); err != nil {
-		t.Fatal(err)
-	}
-	eastRcv, eastShed := counts("east")
-	time.Sleep(50 * time.Millisecond) // west keeps streaming meanwhile
-	if rcv, shed := counts("east"); rcv != eastRcv || shed != eastShed {
-		t.Fatalf("east counts moved after Remove returned: %d+%d then %d+%d", eastRcv, eastShed, rcv, shed)
-	}
 	f.Close()
+	final := f.Status()
+	time.Sleep(50 * time.Millisecond)
+	if st := f.Status(); !reflect.DeepEqual(st, final) {
+		t.Fatalf("counts moved after Close returned: %+v then %+v", final, st)
+	}
 	<-consumed
 
 	var total uint64
@@ -86,6 +83,7 @@ func TestFleetRemoveAccountsEveryDecodedReport(t *testing.T) {
 		}
 		total += rcv + shed
 	}
+	// The template's client metrics are shared by both readers' clients.
 	if decoded := cm.Reports.Value(); total != decoded {
 		t.Fatalf("received + shed = %d across readers, clients decoded %d", total, decoded)
 	}
@@ -101,7 +99,7 @@ func TestPipelineGoroutineTopology(t *testing.T) {
 	mon := core.NewMonitor(core.MonitorConfig{ShardWorkers: workers})
 	tmpl := sessionTemplate()
 	tmpl.Watchdog = 5 * time.Second
-	f := startFleetTest(t, fleet.Config{
+	f := startFleetTest(t, 0, fleet.Config{
 		Readers: []fleet.ReaderConfig{
 			{Name: "east", Addr: startServer(t)},
 			{Name: "west", Addr: startServer(t)},

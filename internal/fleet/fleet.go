@@ -1,11 +1,10 @@
-// Package fleet is the multi-reader gateway: a registry of named LLRP
+// Package fleet is the multi-reader gateway: a fixed set of named LLRP
 // reader endpoints, each owned by one supervised llrp.Session, merged
 // onto a single provenance-tagged report channel that feeds one
 // monitor. It is the structural step from "a demo drives one reader"
-// to "a deployment covers a ward": readers can be added, removed, and
-// reconfigured at runtime; each carries its own health, backoff, and
-// outage state; and every report is stamped with the name of the
-// reader that produced it (reader.TagReport.ReaderID), so the
+// to "a deployment covers a ward": each reader carries its own health,
+// backoff, and outage state, and every report is stamped with the name
+// of the reader that produced it (reader.TagReport.ReaderID), so the
 // pipeline's (reader, antenna) selection merges overlapping coverage
 // deterministically instead of double-counting it.
 //
@@ -36,7 +35,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -46,41 +45,28 @@ import (
 	"tagbreathe/internal/reader"
 )
 
-// ReaderConfig is one registry entry: a named LLRP endpoint.
+// ReaderConfig is one fleet entry: a named LLRP endpoint.
 type ReaderConfig struct {
 	// Name identifies the reader in the fleet (required, unique). It is
-	// the ReaderID stamped on every report the reader produces, the
-	// "reader" metric label, and the registry key for Remove and
-	// Reconfigure — pick something an operator recognizes ("ward-3-e").
+	// the ReaderID stamped on every report the reader produces and the
+	// "reader" metric label — pick something an operator recognizes
+	// ("ward-3-e").
 	Name string `json:"name"`
 	// Addr is the reader's LLRP endpoint (required).
 	Addr string `json:"addr"`
-	// ROSpec overrides the fleet template's ROSpec for this reader when
-	// non-zero (per-reader antenna sets, report batching).
-	ROSpec llrp.ROSpecConfig `json:"-"`
-}
-
-// rospecSet reports whether the per-reader override is populated.
-func (rc ReaderConfig) rospecSet() bool {
-	return rc.ROSpec.ROSpecID != 0 || rc.ROSpec.ReportEveryN != 0 || len(rc.ROSpec.AntennaIDs) > 0
 }
 
 // Config assembles a reader fleet.
 type Config struct {
-	// Readers is the initial registry; more can be added at runtime.
+	// Readers is the fleet's reader set (at least one), fixed for the
+	// fleet's life.
 	Readers []ReaderConfig
 	// Session is the template for every entry's supervised session:
 	// ROSpec, timeouts, backoff, watchdog, client metrics, tracer, and
 	// logger all apply per reader. Addr, ReaderID, Metrics, and Deliver
 	// are per-entry and overwritten by the fleet (each entry gets
-	// private session instruments — see Metrics for why); the session
-	// overload policy and buffer go unused, since every session delivers
-	// into the merged channel.
+	// private session instruments — see Metrics for why).
 	Session llrp.SessionConfig
-	// ReportBuffer sizes the merged report channel; default 4096 (it
-	// absorbs N readers' bursts, so it defaults deeper than one
-	// session's buffer).
-	ReportBuffer int
 	// ShedClass classifies a report's vantage for quality-aware
 	// shedding — typically core.Monitor.VantageClass adapted by the
 	// caller. When set, readers shed redundant-vantage reports first
@@ -94,7 +80,11 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// entry is one registered reader: its supervised session, its private
+// reportBuffer sizes the merged report channel: it absorbs N readers'
+// bursts, so it is deeper than one session's channel.
+const reportBuffer = 4096
+
+// entry is one reader: its supervised session, its private
 // session instruments, its pre-resolved labeled metric handles, and
 // its vantage gates.
 type entry struct {
@@ -114,7 +104,7 @@ type entry struct {
 	// to exactly one reader, and a session delivers on one decode
 	// goroutine at a time, so the set needs no lock.
 	//
-	//tagbreathe:owner deliver Add
+	//tagbreathe:owner deliver
 	gated map[gateKey]struct{}
 }
 
@@ -125,12 +115,12 @@ type gateKey struct {
 	port int
 }
 
-// Fleet is a running reader-fleet registry. All methods are safe for
-// concurrent use. Close (or cancelling the start context plus Close)
-// tears down every session before Reports closes; the fleet owns no
-// goroutine past Close (project style: no fire-and-forget goroutines).
+// Fleet is a running reader fleet. Its reader set is fixed when Start
+// returns. All methods are safe for concurrent use. Close (or
+// cancelling the start context plus Close) tears down every session
+// before Reports closes; the fleet owns no goroutine past Close
+// (project style: no fire-and-forget goroutines).
 type Fleet struct {
-	tmpl     llrp.SessionConfig
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	classify func(r reader.TagReport) core.ShedClass
@@ -139,95 +129,81 @@ type Fleet struct {
 	// shedMark and reopenMark are the merged-channel depths at which a
 	// redundant vantage's gate closes and reopens.
 	shedMark, reopenMark int
-	ctx                  context.Context
 	cancel               context.CancelFunc
 
-	mu      sync.Mutex
-	entries map[string]*entry
-	closed  bool
+	// entries is sorted by name and never changes after Start.
+	entries []*entry
 
-	// live counts sessions not yet closed by Remove or Close: Reports
-	// closes only once no session can deliver into it.
-	live      sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// Start builds the registry and begins connecting every configured
-// reader immediately. Like llrp.StartSession it never blocks waiting
-// for a connect — a reader that is down at start is the same routine
+// Start validates the reader set — at least one reader, each with a
+// name and an addr, names unique — and begins connecting every reader
+// immediately. Like llrp.StartSession it never blocks waiting for a
+// connect: a reader that is down at start is the same routine
 // condition as one that reboots later. ctx cancellation is equivalent
 // to Close (call Close anyway to wait for teardown).
 func Start(ctx context.Context, cfg Config) (*Fleet, error) {
-	if cfg.ReportBuffer <= 0 {
-		cfg.ReportBuffer = 4096
+	return start(ctx, cfg, reportBuffer)
+}
+
+// start is Start with the merged channel's size as a parameter, so
+// tests can fill it quickly.
+func start(ctx context.Context, cfg Config, buffer int) (*Fleet, error) {
+	if len(cfg.Readers) == 0 {
+		return nil, fmt.Errorf("fleet: no readers configured")
+	}
+	rcs := slices.Clone(cfg.Readers)
+	slices.SortFunc(rcs, func(a, b ReaderConfig) int { return strings.Compare(a.Name, b.Name) })
+	for i, rc := range rcs {
+		if rc.Name == "" {
+			return nil, fmt.Errorf("fleet: reader name is required")
+		}
+		if rc.Addr == "" {
+			return nil, fmt.Errorf("fleet: reader %q: addr is required", rc.Name)
+		}
+		if i > 0 && rcs[i-1].Name == rc.Name {
+			return nil, fmt.Errorf("fleet: reader %q configured twice", rc.Name)
+		}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
 	}
-	shedMark := max(cfg.ReportBuffer-cfg.ReportBuffer/8, 1)
+	shedMark := max(buffer-buffer/8, 1)
 	fctx, cancel := context.WithCancel(ctx)
 	f := &Fleet{
-		tmpl:       cfg.Session,
 		metrics:    cfg.Metrics,
 		tracer:     cfg.Session.Tracer,
 		classify:   cfg.ShedClass,
-		reports:    make(chan reader.TagReport, cfg.ReportBuffer),
+		reports:    make(chan reader.TagReport, buffer),
 		shedMark:   shedMark,
 		reopenMark: shedMark / 2,
-		ctx:        fctx,
 		cancel:     cancel,
-		entries:    make(map[string]*entry),
+		entries:    make([]*entry, 0, len(rcs)),
 	}
-	for _, rc := range cfg.Readers {
-		if err := f.Add(rc); err != nil {
+	for _, rc := range rcs {
+		e, err := f.startEntry(fctx, cfg.Session, rc)
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
+		f.entries = append(f.entries, e)
 	}
+	cfg.Metrics.Readers.Set(float64(len(f.entries)))
 	// Pull-time refresh for the sampled per-reader gauges (state,
 	// reconnects): scrape hooks cannot be unregistered, but refresh on
-	// a closed fleet is a cheap locked map walk, so outliving Close is
-	// harmless.
+	// a closed fleet is a cheap walk over its entries, so outliving
+	// Close is harmless.
 	cfg.Metrics.reg.AddScrapeHook(func() { f.refreshGauges() })
 	return f, nil
 }
 
-// Reports returns the merged, provenance-tagged report stream. The
-// channel survives every Add/Remove/Reconfigure and reader outage; it
-// closes only when the fleet itself closes. Reports from different
-// readers interleave in arrival order — each reader's own stream stays
-// timestamp-ordered (sessions preserve order), and the pipeline keys
-// all phase-continuous state by ReaderID, so cross-reader interleaving
-// jitter is tolerated by construction.
-func (f *Fleet) Reports() <-chan reader.TagReport {
-	return f.reports
-}
-
-// Add registers a reader and starts supervising it. The name must be
-// unique and non-empty.
-func (f *Fleet) Add(rc ReaderConfig) error {
-	if rc.Name == "" {
-		return fmt.Errorf("fleet: reader name is required")
-	}
-	if rc.Addr == "" {
-		return fmt.Errorf("fleet: reader %q: addr is required", rc.Name)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return fmt.Errorf("fleet: closed")
-	}
-	if _, dup := f.entries[rc.Name]; dup {
-		return fmt.Errorf("fleet: reader %q already registered", rc.Name)
-	}
-
-	scfg := f.tmpl
+// startEntry starts one reader's supervised session from the template.
+func (f *Fleet) startEntry(ctx context.Context, tmpl llrp.SessionConfig, rc ReaderConfig) (*entry, error) {
+	scfg := tmpl
 	scfg.Addr = rc.Addr
 	scfg.ReaderID = rc.Name
 	scfg.Metrics = llrp.NewSessionMetrics(nil) // private per entry; see Metrics
-	if rc.rospecSet() {
-		scfg.ROSpec = rc.ROSpec
-	}
 	lbl := readerLabel(rc.Name)
 	e := &entry{
 		cfg:      rc,
@@ -241,56 +217,23 @@ func (f *Fleet) Add(rc ReaderConfig) error {
 		e.shedBy[cls] = f.metrics.ReaderShedByClass.With(lbl, cls.String()) //tagbreathe:allow metrichygiene cls ranges over the three fixed ShedClass values
 	}
 	scfg.Deliver = func(batch []reader.TagReport) { f.deliver(e, batch) }
-	sess, err := llrp.StartSession(f.ctx, scfg)
+	sess, err := llrp.StartSession(ctx, scfg)
 	if err != nil {
-		return fmt.Errorf("fleet: reader %q: %w", rc.Name, err)
+		return nil, fmt.Errorf("fleet: reader %q: %w", rc.Name, err)
 	}
 	e.sess = sess
-	f.entries[rc.Name] = e
-	f.metrics.Added.Inc()
-	f.metrics.Readers.Set(float64(len(f.entries)))
-	f.live.Add(1)
-	return nil
+	return e, nil
 }
 
-// retire closes an entry's session — waiting until its decode
-// goroutine can deliver no more — and releases its hold on Reports.
-// Each entry is retired exactly once, by Remove or by Close.
-func (f *Fleet) retire(e *entry) {
-	e.sess.Close()
-	f.live.Done()
-}
-
-// Remove unregisters a reader: its session closes, and only once its
-// decode goroutine has delivered its last report does Remove return —
-// the entry is fully quiescent. The merged channel stays open for the
-// remaining readers.
-func (f *Fleet) Remove(name string) error {
-	f.mu.Lock()
-	e, ok := f.entries[name]
-	if ok {
-		delete(f.entries, name)
-		f.metrics.Removed.Inc()
-		f.metrics.Readers.Set(float64(len(f.entries)))
-	}
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: reader %q not registered", name)
-	}
-	f.retire(e)
-	e.stateG.Set(float64(llrp.SessionClosed))
-	return nil
-}
-
-// Reconfigure atomically replaces a reader's configuration under the
-// same name: the old session is closed and drained, then a fresh one
-// starts against the (possibly new) address. Counters continue — the
-// name is the identity, not the connection.
-func (f *Fleet) Reconfigure(rc ReaderConfig) error {
-	if err := f.Remove(rc.Name); err != nil {
-		return err
-	}
-	return f.Add(rc)
+// Reports returns the merged, provenance-tagged report stream. The
+// channel survives every reader outage; it closes only when the fleet
+// itself closes. Reports from different readers interleave in arrival
+// order — each reader's own stream stays timestamp-ordered (sessions
+// preserve order), and the pipeline keys all phase-continuous state by
+// ReaderID, so cross-reader interleaving jitter is tolerated by
+// construction.
+func (f *Fleet) Reports() <-chan reader.TagReport {
+	return f.reports
 }
 
 // class classifies a report for shed accounting: the configured
@@ -371,15 +314,8 @@ func (f *Fleet) shed(e *entry, r *reader.TagReport, cls core.ShedClass) {
 	f.tracer.Abort(r.TraceID)
 }
 
-// Size returns the number of registered readers.
-func (f *Fleet) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.entries)
-}
-
-// ReaderStatus is one reader's point-in-time registry view — the
-// /debug/fleet row.
+// ReaderStatus is one reader's point-in-time view — the /debug/fleet
+// row.
 type ReaderStatus struct {
 	Name  string `json:"name"`
 	Addr  string `json:"addr"`
@@ -399,11 +335,10 @@ type ReaderStatus struct {
 	ShedByClass map[string]uint64 `json:"shed_by_class,omitempty"`
 }
 
-// Status snapshots every registered reader, sorted by name. As a side
-// effect it refreshes the pull-sampled per-reader gauges, so both
-// /debug/fleet and metric scrapes see current state.
+// Status snapshots every reader, sorted by name. As a side effect it
+// refreshes the pull-sampled per-reader gauges, so both /debug/fleet
+// and metric scrapes see current state.
 func (f *Fleet) Status() []ReaderStatus {
-	f.mu.Lock()
 	out := make([]ReaderStatus, 0, len(f.entries))
 	for _, e := range f.entries {
 		st := e.sess.State()
@@ -432,76 +367,58 @@ func (f *Fleet) Status() []ReaderStatus {
 		e.reconG.Set(float64(s.Reconnects))
 		out = append(out, s)
 	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // refreshGauges is the scrape-hook body: update the sampled per-reader
 // gauges without building the status slice.
 func (f *Fleet) refreshGauges() {
-	f.mu.Lock()
 	for _, e := range f.entries {
 		e.stateG.Set(float64(e.sess.State()))
 		e.reconG.Set(float64(e.sess.Reconnects()))
 	}
-	f.mu.Unlock()
 }
 
-// Healthy returns nil when every registered reader's link is up (and
-// at least one reader is registered) — the fleet-wide health check for
-// obs.DebugServer.AddHealthCheck. A degraded fleet names the readers
-// that are down; estimates may still flow from the healthy remainder.
+// Healthy returns nil when every reader's link is up — the fleet-wide
+// health check for obs.DebugServer.AddHealthCheck. A degraded fleet
+// names the readers that are down; estimates may still flow from the
+// healthy remainder.
 func (f *Fleet) Healthy() error {
-	f.mu.Lock()
-	total := len(f.entries)
 	var down []string
-	for name, e := range f.entries {
+	for _, e := range f.entries {
 		if err := e.sess.Healthy(); err != nil {
-			down = append(down, fmt.Sprintf("%s: %v", name, err))
+			down = append(down, fmt.Sprintf("%s: %v", e.cfg.Name, err))
 		}
 	}
-	f.mu.Unlock()
-	if total == 0 {
-		return fmt.Errorf("fleet: no readers registered")
-	}
 	if len(down) > 0 {
-		sort.Strings(down)
-		return fmt.Errorf("fleet: %d/%d readers down (%s)", len(down), total, strings.Join(down, "; "))
+		return fmt.Errorf("fleet: %d/%d readers down (%s)", len(down), len(f.entries), strings.Join(down, "; "))
 	}
 	return nil
 }
 
 // ReaderHealth returns a named reader's health check (the shape
-// obs.DebugServer.AddHealthCheck wants), resolving the entry on every
-// call so it follows Reconfigure and reports removal as unhealthy.
+// obs.DebugServer.AddHealthCheck wants); a name outside the fleet is
+// always unhealthy.
 func (f *Fleet) ReaderHealth(name string) func() error {
-	return func() error {
-		f.mu.Lock()
-		e, ok := f.entries[name]
-		f.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("fleet: reader %q not registered", name)
+	for _, e := range f.entries {
+		if e.cfg.Name == name {
+			return func() error {
+				if err := e.sess.Healthy(); err != nil {
+					return fmt.Errorf("fleet: reader %s: %w", name, err)
+				}
+				return nil
+			}
 		}
-		if err := e.sess.Healthy(); err != nil {
-			return fmt.Errorf("fleet: reader %s: %w", name, err)
-		}
-		return nil
 	}
+	return func() error { return fmt.Errorf("fleet: reader %q not configured", name) }
 }
 
-// WaitUp blocks until every currently registered reader is up, ctx
-// ends, or a session closes. Startup sequencing and tests only;
-// steady-state consumers just read Reports.
+// WaitUp blocks until every reader is up, ctx ends, or a session
+// closes. Startup sequencing and tests only; steady-state consumers
+// just read Reports.
 func (f *Fleet) WaitUp(ctx context.Context) error {
-	f.mu.Lock()
-	sessions := make([]*llrp.Session, 0, len(f.entries))
 	for _, e := range f.entries {
-		sessions = append(sessions, e.sess)
-	}
-	f.mu.Unlock()
-	for _, s := range sessions {
-		if err := s.WaitUp(ctx); err != nil {
+		if err := e.sess.WaitUp(ctx); err != nil {
 			return err
 		}
 	}
@@ -513,19 +430,10 @@ func (f *Fleet) WaitUp(ctx context.Context) error {
 // safe to call concurrently.
 func (f *Fleet) Close() error {
 	f.closeOnce.Do(func() {
-		f.mu.Lock()
-		f.closed = true
-		es := make([]*entry, 0, len(f.entries))
-		for _, e := range f.entries {
-			es = append(es, e)
-		}
-		f.mu.Unlock()
 		f.cancel()
-		for _, e := range es {
-			f.retire(e)
+		for _, e := range f.entries {
+			e.sess.Close()
 		}
-		// A concurrent Remove may still be retiring its entry.
-		f.live.Wait()
 		close(f.reports)
 	})
 	return nil

@@ -75,9 +75,17 @@ func sessionTemplate() llrp.SessionConfig {
 	}
 }
 
-func startFleetTest(t *testing.T, cfg fleet.Config) *fleet.Fleet {
+// startFleetTest starts a fleet closed at cleanup; a buffer above zero
+// shrinks the merged channel to that many reports.
+func startFleetTest(t *testing.T, buffer int, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()
-	f, err := fleet.Start(context.Background(), cfg)
+	var f *fleet.Fleet
+	var err error
+	if buffer > 0 {
+		f, err = fleet.StartBuffered(context.Background(), cfg, buffer)
+	} else {
+		f, err = fleet.Start(context.Background(), cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +93,37 @@ func startFleetTest(t *testing.T, cfg fleet.Config) *fleet.Fleet {
 	return f
 }
 
+// goroutineBaseline lets startup goroutines settle and returns the
+// count checkNoLeak waits to get back to.
+func goroutineBaseline() int {
+	time.Sleep(50 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// checkNoLeak fails unless the goroutine count returns to baseline.
+func checkNoLeak(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
+				runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestFleetMergesWithProvenance: two readers through one fleet; every
 // merged report names its origin, each origin's sub-stream stays
-// timestamp-ordered, and the registry view agrees with reality.
+// timestamp-ordered, and the status view agrees with reality.
 func TestFleetMergesWithProvenance(t *testing.T) {
 	m := fleet.NewMetrics(nil)
-	f := startFleetTest(t, fleet.Config{
+	f := startFleetTest(t, 0, fleet.Config{
 		Readers: []fleet.ReaderConfig{
-			{Name: "east", Addr: startServer(t)},
 			{Name: "west", Addr: startServer(t)},
+			{Name: "east", Addr: startServer(t)},
 		},
 		Session: sessionTemplate(),
 		Metrics: m,
@@ -127,9 +157,6 @@ func TestFleetMergesWithProvenance(t *testing.T) {
 		}
 	}
 
-	if n := f.Size(); n != 2 {
-		t.Errorf("Size = %d, want 2", n)
-	}
 	if err := f.Healthy(); err != nil {
 		t.Errorf("Healthy: %v", err)
 	}
@@ -160,17 +187,14 @@ func TestFleetMergesWithProvenance(t *testing.T) {
 	}
 }
 
-// TestFleetLifecycle exercises Add/Remove/Reconfigure at runtime while
-// reports flow, plus the registry's validation errors, and verifies no
-// goroutines outlive Close.
+// TestFleetLifecycle runs two readers while reports flow and verifies
+// that Close ends the merged stream and no goroutine outlives it.
 func TestFleetLifecycle(t *testing.T) {
-	addrA, addrB, addrC := startServer(t), startServer(t), startServer(t)
+	addrA, addrB := startServer(t), startServer(t)
+	baseline := goroutineBaseline()
 
-	time.Sleep(50 * time.Millisecond) // let server goroutines settle
-	baseline := runtime.NumGoroutine()
-
-	f := startFleetTest(t, fleet.Config{
-		Readers: []fleet.ReaderConfig{{Name: "a", Addr: addrA}},
+	f := startFleetTest(t, 0, fleet.Config{
+		Readers: []fleet.ReaderConfig{{Name: "a", Addr: addrA}, {Name: "b", Addr: addrB}},
 		Session: sessionTemplate(),
 	})
 
@@ -178,20 +202,12 @@ func TestFleetLifecycle(t *testing.T) {
 	// body inspects the tally through seen().
 	var mu sync.Mutex
 	counts := map[string]int{}
-	var lastByReader []string // arrival order of reader IDs, for the post-remove check
 	drained := make(chan struct{})
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
 	go func() {
-		defer drainWG.Done()
 		defer close(drained)
 		for r := range f.Reports() {
 			mu.Lock()
 			counts[r.ReaderID]++
-			lastByReader = append(lastByReader, r.ReaderID)
-			if len(lastByReader) > 256 {
-				lastByReader = lastByReader[1:]
-			}
 			mu.Unlock()
 		}
 	}()
@@ -200,89 +216,40 @@ func TestFleetLifecycle(t *testing.T) {
 		defer mu.Unlock()
 		return counts[name]
 	}
-	waitFor := func(what string, ok func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !ok() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s", what)
-			}
-			time.Sleep(5 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for seen("a") <= 10 || seen("b") <= 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for both readers (a %d, b %d)", seen("a"), seen("b"))
 		}
-	}
-
-	waitFor("reports from a", func() bool { return seen("a") > 10 })
-
-	// Validation: duplicates and empty identity are rejected.
-	if err := f.Add(fleet.ReaderConfig{Name: "a", Addr: addrB}); err == nil {
-		t.Fatal("duplicate Add accepted")
-	}
-	if err := f.Add(fleet.ReaderConfig{Name: "", Addr: addrB}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := f.Add(fleet.ReaderConfig{Name: "x", Addr: ""}); err == nil {
-		t.Fatal("empty addr accepted")
-	}
-	if err := f.Remove("ghost"); err == nil {
-		t.Fatal("Remove of unregistered reader succeeded")
-	}
-
-	// Grow the fleet at runtime.
-	if err := f.Add(fleet.ReaderConfig{Name: "b", Addr: addrB}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor("reports from b", func() bool { return seen("b") > 10 })
-
-	// Shrink it: after Remove returns the entry's pump has exited, so
-	// once the buffered backlog drains, "a" must go silent while "b"
-	// keeps flowing.
-	if err := f.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor("a silent, b flowing", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(lastByReader) < 64 {
-			return false
-		}
-		for _, id := range lastByReader[len(lastByReader)-64:] {
-			if id != "b" {
-				return false
-			}
-		}
-		return true
-	})
-
-	// Reconfigure: same identity, new endpoint; the stream continues
-	// under the same name.
-	before := seen("b")
-	if err := f.Reconfigure(fleet.ReaderConfig{Name: "b", Addr: addrC}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor("reports from reconfigured b", func() bool { return seen("b") > before+10 })
-	if got := f.Size(); got != 1 {
-		t.Fatalf("Size after remove+reconfigure = %d, want 1", got)
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Teardown: channel closes, drain exits, goroutines return to
 	// baseline.
 	f.Close()
 	<-drained
-	drainWG.Wait()
-	if err := f.Add(fleet.ReaderConfig{Name: "late", Addr: addrA}); err == nil {
-		t.Fatal("Add accepted after Close")
-	}
+	checkNoLeak(t, baseline)
+}
 
-	leakDeadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(leakDeadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:n])
+// TestFleetStartValidation: Start rejects an empty reader set, a reader
+// without a name or an addr, and a duplicate name, and a failed Start
+// leaves no goroutine behind.
+func TestFleetStartValidation(t *testing.T) {
+	addr := startServer(t)
+	baseline := goroutineBaseline()
+	for name, readers := range map[string][]fleet.ReaderConfig{
+		"no readers":     nil,
+		"empty name":     {{Name: "a", Addr: addr}, {Name: "", Addr: addr}},
+		"empty addr":     {{Name: "a", Addr: addr}, {Name: "b", Addr: ""}},
+		"duplicate name": {{Name: "a", Addr: addr}, {Name: "b", Addr: addr}, {Name: "a", Addr: addr}},
+	} {
+		f, err := fleet.Start(context.Background(), fleet.Config{Readers: readers, Session: sessionTemplate()})
+		if err == nil {
+			f.Close()
+			t.Errorf("%s: Start accepted %+v", name, readers)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	checkNoLeak(t, baseline)
 }
 
 // TestFleetShedsAtFullMergedChannel: with no consumer, the pump must
@@ -290,11 +257,10 @@ func TestFleetLifecycle(t *testing.T) {
 // and must resume delivery the moment a consumer appears.
 func TestFleetShedsAtFullMergedChannel(t *testing.T) {
 	m := fleet.NewMetrics(nil)
-	f := startFleetTest(t, fleet.Config{
-		Readers:      []fleet.ReaderConfig{{Name: "solo", Addr: startServer(t)}},
-		Session:      sessionTemplate(),
-		ReportBuffer: 4,
-		Metrics:      m,
+	f := startFleetTest(t, 4, fleet.Config{
+		Readers: []fleet.ReaderConfig{{Name: "solo", Addr: startServer(t)}},
+		Session: sessionTemplate(),
+		Metrics: m,
 	})
 
 	shed := m.ReaderShed.With("solo")
@@ -334,11 +300,10 @@ func TestFleetShedsAtFullMergedChannel(t *testing.T) {
 // both antennas flow again — once the consumer drains the backlog.
 func TestFleetQualityAwareShedding(t *testing.T) {
 	m := fleet.NewMetrics(nil)
-	f := startFleetTest(t, fleet.Config{
-		Readers:      []fleet.ReaderConfig{{Name: "solo", Addr: startServer(t)}},
-		Session:      sessionTemplate(),
-		ReportBuffer: 8,
-		Metrics:      m,
+	f := startFleetTest(t, 8, fleet.Config{
+		Readers: []fleet.ReaderConfig{{Name: "solo", Addr: startServer(t)}},
+		Session: sessionTemplate(),
+		Metrics: m,
 		ShedClass: func(r reader.TagReport) core.ShedClass {
 			if r.AntennaPort == 2 {
 				return core.ShedRedundant
@@ -380,9 +345,8 @@ func TestFleetQualityAwareShedding(t *testing.T) {
 	}
 }
 
-// TestFleetHealthChecks covers the degraded-fleet health surface: an
-// empty registry, a down reader named in the fleet error, and the
-// per-reader check shape.
+// TestFleetHealthChecks covers the degraded-fleet health surface: a
+// down reader named in the fleet error, and the per-reader check shape.
 func TestFleetHealthChecks(t *testing.T) {
 	// A port with nothing listening: grab one, close it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -396,17 +360,10 @@ func TestFleetHealthChecks(t *testing.T) {
 	// connection to go away).
 	upAddr := startServer(t)
 
-	f := startFleetTest(t, fleet.Config{Session: sessionTemplate()})
-	if err := f.Healthy(); err == nil {
-		t.Fatal("empty fleet reported healthy")
-	}
-
-	if err := f.Add(fleet.ReaderConfig{Name: "up", Addr: upAddr}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Add(fleet.ReaderConfig{Name: "down", Addr: deadAddr}); err != nil {
-		t.Fatal(err)
-	}
+	f := startFleetTest(t, 0, fleet.Config{
+		Readers: []fleet.ReaderConfig{{Name: "up", Addr: upAddr}, {Name: "down", Addr: deadAddr}},
+		Session: sessionTemplate(),
+	})
 	waitUp := func(name string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -428,6 +385,6 @@ func TestFleetHealthChecks(t *testing.T) {
 		t.Error("dead reader's health check passed")
 	}
 	if err := f.ReaderHealth("ghost")(); err == nil {
-		t.Error("unregistered reader's health check passed")
+		t.Error("unconfigured reader's health check passed")
 	}
 }

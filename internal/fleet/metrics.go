@@ -2,9 +2,8 @@ package fleet
 
 import "tagbreathe/internal/obs"
 
-// Metrics are the reader-fleet registry's instruments: the per-reader
-// families carry a "reader" label (one series per registry entry —
-// operator-configured and bounded), so a dashboard can tell which
+// Metrics are the reader fleet's instruments: the per-reader families
+// carry a "reader" label (one series per configured reader — bounded), so a dashboard can tell which
 // reader of an overlapping pair is down, shedding, or flapping. A
 // single shared llrp.SessionMetrics cannot do this: the obs registry
 // dedups families by name, so N unlabeled sessions on one registry
@@ -12,7 +11,7 @@ import "tagbreathe/internal/obs"
 // The fleet therefore gives each entry private session instruments and
 // mirrors the operationally interesting ones here, labeled.
 type Metrics struct {
-	// Readers is the current registry size.
+	// Readers is the number of readers in the fleet.
 	Readers *obs.Gauge
 	// ReaderState is each reader's session lifecycle state (0
 	// connecting, 1 up, 2 backoff, 3 closed), refreshed on scrape and
@@ -34,10 +33,6 @@ type Metrics struct {
 	// series staying flat under pressure is the invariant dashboards
 	// should alert on.
 	ReaderShedByClass *obs.CounterVec
-	// Added and Removed count registry lifecycle operations
-	// (Reconfigure is one remove plus one add).
-	Added   *obs.Counter
-	Removed *obs.Counter
 	// MergedQueue and MergedQueueHighWater track the merged report
 	// channel's occupancy — the fleet-edge flow-control signal,
 	// mirroring the session buffer gauges one level up.
@@ -54,7 +49,7 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Readers: r.Gauge("tagbreathe_fleet_readers",
-			"Reader endpoints currently registered in the fleet."),
+			"Reader endpoints in the fleet."),
 		ReaderState: r.GaugeVec("tagbreathe_fleet_reader_state",
 			"Per-reader session state (0 connecting, 1 up, 2 backoff, 3 closed).",
 			"reader"),
@@ -68,12 +63,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Reports dropped at the full merged channel, per originating reader.",
 			"reader"),
 		ReaderShedByClass: r.CounterVec("tagbreathe_fleet_reader_reports_shed_by_class_total",
-			"Reports shed before reaching the monitor (merge-level and session drop-oldest), per reader and vantage class.",
+			"Reports shed at the merged fleet channel, per reader and vantage class.",
 			"reader", "class"),
-		Added: r.Counter("tagbreathe_fleet_readers_added_total",
-			"Reader endpoints added to the registry over the fleet's life."),
-		Removed: r.Counter("tagbreathe_fleet_readers_removed_total",
-			"Reader endpoints removed from the registry over the fleet's life."),
 		MergedQueue: r.Gauge("tagbreathe_fleet_merged_queue",
 			"Reports currently buffered on the merged fleet channel."),
 		MergedQueueHighWater: r.Gauge("tagbreathe_fleet_merged_queue_high_water",
@@ -82,9 +73,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// readerLabel formats a registry entry's name for the "reader" label.
+// readerLabel formats a reader's name for the "reader" label.
 //
-//tagbreathe:labelvalue reader names are operator-configured registry entries, a handful per process
+//tagbreathe:labelvalue reader names are operator-configured, a handful per process
 func readerLabel(name string) string {
 	return name
 }

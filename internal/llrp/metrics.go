@@ -77,9 +77,9 @@ type SessionMetrics struct {
 	// ReportsBufferHighWater is the deepest the stable report channel
 	// has been over the session's life.
 	ReportsBufferHighWater *obs.Gauge
-	// ReportsShed counts reports evicted from the stable channel under
-	// the ReportsDropOldest overload policy. Always zero under
-	// ReportsBlock.
+	// ReportsShed counts decoded reports a link's end left undelivered:
+	// the report waiting for room on a full stable channel when the
+	// link died or the session closed, and the rest of its frame.
 	ReportsShed *obs.Counter
 }
 
@@ -103,7 +103,7 @@ func NewSessionMetrics(r *obs.Registry) *SessionMetrics {
 		ReportsBufferHighWater: r.Gauge("tagbreathe_llrp_session_reports_buffer_high_water",
 			"Deepest observed occupancy of the session's stable report channel."),
 		ReportsShed: r.Counter("tagbreathe_llrp_session_reports_shed_total",
-			"Reports evicted from the stable channel by the drop-oldest overload policy."),
+			"Decoded reports left undelivered when a link ended while they waited for room on the stable channel."),
 	}
 }
 

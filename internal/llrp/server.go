@@ -36,21 +36,24 @@ type ServerConfig struct {
 	NewSource func() ReportSource
 	// KeepaliveEvery is the keepalive period; zero disables keepalives.
 	KeepaliveEvery time.Duration
-	// DefaultBatch is the number of tag reports per RO_ACCESS_REPORT
-	// when the ROSpec does not specify one; default 16.
-	DefaultBatch int
-	// SendQueue bounds each connection's outbound message queue;
-	// default 64. Report streams, keepalives, and responses all fan in
-	// to a single writer goroutine per connection through this queue,
-	// so a full queue applies backpressure to the report sources
-	// rather than dropping protocol messages.
-	SendQueue int
 	// Logf receives connection lifecycle logs; nil silences them.
 	Logf func(format string, args ...any)
 	// Metrics receives the server's instrumentation (see
 	// NewServerMetrics). Nil builds private, unexposed instruments.
 	Metrics *ServerMetrics
 }
+
+const (
+	// defaultBatch is the number of tag reports per RO_ACCESS_REPORT
+	// when the ROSpec does not specify one.
+	defaultBatch = 16
+	// sendQueue bounds each connection's outbound message queue.
+	// Report streams, keepalives, and responses all fan in to a single
+	// writer goroutine per connection through this queue, so a full
+	// queue applies backpressure to the report sources rather than
+	// dropping protocol messages.
+	sendQueue = 64
+)
 
 // Server accepts LLRP connections and serves the ROSpec lifecycle and
 // report streaming to each, emulating the reader end of the protocol.
@@ -67,12 +70,6 @@ type Server struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.NewSource == nil {
 		return nil, fmt.Errorf("llrp: ServerConfig.NewSource is required")
-	}
-	if cfg.DefaultBatch <= 0 {
-		cfg.DefaultBatch = 16
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 64
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -141,12 +138,12 @@ type serverConn struct {
 	metrics  *ServerMetrics
 }
 
-func newServerConn(raw net.Conn, queue int, metrics *ServerMetrics) *serverConn {
+func newServerConn(raw net.Conn, metrics *ServerMetrics) *serverConn {
 	//tagbreathe:allow ctxflow per-connection root; cancel is stored on the conn and fired on close or first write error
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &serverConn{
 		Conn:    raw,
-		out:     make(chan Message, queue),
+		out:     make(chan Message, sendQueue),
 		ctx:     ctx,
 		cancel:  cancel,
 		metrics: metrics,
@@ -210,7 +207,7 @@ func (s *Server) handle(raw net.Conn) {
 	s.cfg.Metrics.Connections.Inc()
 	s.cfg.Metrics.ActiveConnections.Add(1)
 	defer s.cfg.Metrics.ActiveConnections.Add(-1)
-	c := newServerConn(raw, s.cfg.SendQueue, s.cfg.Metrics)
+	c := newServerConn(raw, s.cfg.Metrics)
 	logf := s.cfg.Logf
 	logf("llrp: connection from %v", raw.RemoteAddr())
 
@@ -424,7 +421,7 @@ func (s *Server) keepaliveLoop(ctx context.Context, c *serverConn) {
 func (s *Server) streamReports(ctx context.Context, c *serverConn, cfg ROSpecConfig) {
 	batchSize := int(cfg.ReportEveryN)
 	if batchSize <= 0 {
-		batchSize = s.cfg.DefaultBatch
+		batchSize = defaultBatch
 	}
 	allow := make(map[int]bool, len(cfg.AntennaIDs))
 	for _, a := range cfg.AntennaIDs {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tagbreathe/internal/fmath"
 	"tagbreathe/internal/obs"
 	"tagbreathe/internal/reader"
 )
@@ -27,8 +26,7 @@ const (
 	// SessionBackoff: the link was lost (or an attempt failed) and the
 	// session is waiting out the backoff before retrying.
 	SessionBackoff
-	// SessionClosed: Close was called, the start context ended, or
-	// MaxAttempts consecutive failures exhausted the retry budget. The
+	// SessionClosed: Close was called or the start context ended. The
 	// Reports channel is closed; the state is terminal.
 	SessionClosed
 )
@@ -49,27 +47,6 @@ func (s SessionState) String() string {
 	}
 }
 
-// ReportsOverload selects what the session does with a decoded report
-// when the stable Reports channel is full — the session-edge mirror of
-// the monitor's shard-queue OverloadPolicy.
-type ReportsOverload int
-
-const (
-	// ReportsBlock (the default) applies backpressure: the connection's
-	// decode goroutine waits for the consumer, so no report is ever lost
-	// and the TCP window eventually throttles the reader. One stalled
-	// consumer stalls this session's stream (and only this session's).
-	ReportsBlock ReportsOverload = iota
-	// ReportsDropOldest sheds load by age: when the channel is full the
-	// session evicts the oldest buffered report (counting it in
-	// SessionMetrics.ReportsShed) to make room for the newest. Breathing
-	// is heavily oversampled relative to the 0.67 Hz band, so shedding
-	// the stalest samples degrades SNR, not correctness — and keeps the
-	// freshest phase readings flowing, which is what a recovering
-	// consumer wants.
-	ReportsDropOldest
-)
-
 // SessionConfig assembles a managed reader session.
 type SessionConfig struct {
 	// Addr is the LLRP endpoint (required).
@@ -79,18 +56,13 @@ type SessionConfig struct {
 	// stages can tell overlapping readers apart. Empty leaves reports
 	// unnamed — the single-reader legacy path.
 	ReaderID string
-	// Overload selects the policy when the Reports channel is full:
-	// ReportsBlock (default, lossless backpressure) or
-	// ReportsDropOldest (evict the stalest buffered report, count it).
-	Overload ReportsOverload
 	// Deliver, when set, receives every report in place of the Reports
-	// channel, which then stays nil (and Overload and ReportBuffer go
-	// unused). It runs on the connection's decode goroutine, once per
-	// decoded frame with the frame's reports in stream order, each
-	// stamped with ReaderID, and must not block: a fleet hangs its
-	// never-blocking merge here. The slice and the reports in it are
-	// valid only for the duration of the call; the next frame reuses
-	// them.
+	// channel, which then stays nil. It runs on the connection's decode
+	// goroutine, once per decoded frame with the frame's reports in
+	// stream order, each stamped with ReaderID, and must not block: a
+	// fleet hangs its never-blocking merge here. The slice and the
+	// reports in it are valid only for the duration of the call; the
+	// next frame reuses them.
 	Deliver func(batch []reader.TagReport)
 	// ROSpec is provisioned (add → enable → start) after every
 	// connect, so the report stream resumes without operator action.
@@ -101,24 +73,15 @@ type SessionConfig struct {
 	DialTimeout time.Duration
 	// BackoffMin and BackoffMax bound the exponential reconnect
 	// backoff; defaults 100 ms and 30 s. The n-th consecutive failure
-	// waits min·2^(n-1), capped at max, ±Jitter.
+	// waits min·2^(n-1), capped at max, ±backoffJitter. A session
+	// retries until Close or its context ends.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Jitter is the fractional randomization of each backoff delay
-	// (0.2 = ±20%), decorrelating reconnect stampedes when many hosts
-	// lose one reader. Default 0.2; negative disables.
-	Jitter float64
-	// MaxAttempts ends the session (SessionClosed) after this many
-	// consecutive failed connection attempts; 0 retries forever. A
-	// successful connect resets the count.
-	MaxAttempts int
 	// Watchdog declares the link dead when no inbound message —
 	// keepalive, report, or response — arrives within this deadline,
 	// forcing a reconnect. It should comfortably exceed the reader's
 	// keepalive period. Zero disables.
 	Watchdog time.Duration
-	// ReportBuffer sizes the stable Reports channel; default 1024.
-	ReportBuffer int
 	// ClientMetrics instruments the underlying protocol client(s);
 	// shared across reconnects. Nil builds private instruments.
 	ClientMetrics *ClientMetrics
@@ -135,7 +98,21 @@ type SessionConfig struct {
 
 	// backoffSeed seeds the jitter source in tests (0: time-seeded).
 	backoffSeed int64
+	// reportBuffer sizes the Reports channel in tests (0:
+	// defaultReportBuffer).
+	reportBuffer int
 }
+
+const (
+	// defaultReportBuffer sizes the stable Reports channel: at the
+	// paper's ~64 reads/s per reader it holds about 16 s of reports,
+	// so a consumer stall that short never backpressures the reader.
+	defaultReportBuffer = 1024
+	// backoffJitter is the fractional randomization of each backoff
+	// delay (±20%), decorrelating reconnect stampedes when many hosts
+	// lose one reader.
+	backoffJitter = 0.2
+)
 
 func (c *SessionConfig) fillDefaults() {
 	if c.ROSpec.ROSpecID == 0 {
@@ -153,14 +130,8 @@ func (c *SessionConfig) fillDefaults() {
 			c.BackoffMax = c.BackoffMin
 		}
 	}
-	if fmath.ExactZero(c.Jitter) {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.ReportBuffer <= 0 {
-		c.ReportBuffer = 1024
+	if c.reportBuffer <= 0 {
+		c.reportBuffer = defaultReportBuffer
 	}
 	if c.ClientMetrics == nil {
 		c.ClientMetrics = NewClientMetrics(nil)
@@ -191,8 +162,8 @@ func (c *SessionConfig) fillDefaults() {
 //
 // Each live connection runs two goroutines: the client's decode loop,
 // which delivers each decoded frame straight onto Reports (or to
-// SessionConfig.Deliver) under the overload policy, and the session's
-// supervisor, which waits the link out and runs the watchdog.
+// SessionConfig.Deliver), and the session's supervisor, which waits
+// the link out and runs the watchdog.
 //
 // Close (or cancelling the start context) ends the session and closes
 // Reports once in-flight goroutines unwind; the session owns no
@@ -229,7 +200,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	sctx, cancel := context.WithCancelCause(ctx)
 	s := &Session{cfg: cfg, cancel: cancel}
 	if cfg.Deliver == nil {
-		s.reports = make(chan reader.TagReport, cfg.ReportBuffer)
+		s.reports = make(chan reader.TagReport, cfg.reportBuffer)
 	}
 	s.setState(SessionConnecting)
 	s.wg.Add(1)
@@ -238,8 +209,8 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 }
 
 // Reports returns the stable report stream. The channel survives
-// reconnects; it closes only when the session ends (Close, context
-// cancellation, or MaxAttempts exhausted). It is nil when
+// reconnects; it closes only when the session ends (Close or context
+// cancellation). It is nil when
 // SessionConfig.Deliver receives the reports instead.
 func (s *Session) Reports() <-chan reader.TagReport {
 	return s.reports
@@ -331,7 +302,7 @@ func (s *Session) noteErr(err error) {
 
 // run is the session's state machine: connect → up (supervise the
 // link while its decode goroutine delivers) → backoff → connect …,
-// until the context ends or the attempt budget runs out.
+// until the context ends.
 func (s *Session) run(ctx context.Context) {
 	defer s.wg.Done()
 	defer func() {
@@ -362,10 +333,6 @@ func (s *Session) run(ctx context.Context) {
 			attempts++
 			s.noteErr(err)
 			s.cfg.Logf("llrp: session connect %s: %v (attempt %d)", s.cfg.Addr, err, attempts)
-			if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {
-				s.cfg.Logf("llrp: session giving up after %d attempts", attempts)
-				return
-			}
 			s.setState(SessionBackoff)
 			if !sleepCtx(ctx, backoffDelay(s.cfg, attempts, jitter)) {
 				return
@@ -395,8 +362,8 @@ func (s *Session) run(ctx context.Context) {
 		s.mu.Lock()
 		s.client = nil
 		s.mu.Unlock()
-		// The decode goroutine may be parked in a ReportsBlock send to a
-		// stalled consumer; end its delivery before Close waits for it.
+		// The decode goroutine may be parked in a send to a stalled
+		// consumer; end its delivery before Close waits for it.
 		stop()
 		client.Close()
 		if ctx.Err() != nil {
@@ -493,11 +460,13 @@ func (s *Session) supervise(ctx context.Context, client *Client) {
 
 // deliver hands one decoded frame on: each report stamped in place
 // with the reader's name, then the frame to the Deliver hook when one
-// is set, else each report onto the stable channel under the overload
-// policy, after which the buffer gauges sample the channel's depth
-// once. It runs on the connection's decode goroutine; false means ctx
-// (the connection's delivery context) ended while a report waited for
-// room.
+// is set, else each report onto the stable channel, after which the
+// buffer gauges sample the channel's depth once. It runs on the
+// connection's decode goroutine. A send to a full channel waits for
+// room until ctx (the connection's delivery context) ends; then the
+// waiting report and the rest of the frame, already counted decoded by
+// the client, are counted shed and their traces end, and deliver
+// returns false.
 //
 //tagbreathe:hotpath runs once per frame on the connection's decode goroutine; its loops run per tag read
 func (s *Session) deliver(ctx context.Context, batch []reader.TagReport) bool {
@@ -517,6 +486,7 @@ func (s *Session) deliver(ctx context.Context, batch []reader.TagReport) bool {
 		case s.reports <- *r:
 		default:
 			if !s.sendFull(ctx, r) {
+				s.shed(batch[i:])
 				return false
 			}
 		}
@@ -529,36 +499,28 @@ func (s *Session) deliver(ctx context.Context, batch []reader.TagReport) bool {
 }
 
 // sendFull is deliver's slow path, taken only when the stable channel
-// was full: wait for room (ReportsBlock) until ctx ends, or evict the
-// oldest buffered report (ReportsDropOldest). Each drop-oldest round
-// either sends or evicts, so progress is bounded even against a racing
-// consumer.
+// was full: wait for room until ctx ends.
 func (s *Session) sendFull(ctx context.Context, r *reader.TagReport) bool {
-	if s.cfg.Overload == ReportsBlock {
-		select {
-		case s.reports <- *r:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for {
-		select {
-		case s.reports <- *r:
-			return true
-		default:
-		}
-		select {
-		case old := <-s.reports:
-			s.cfg.Tracer.Abort(old.TraceID)
-			s.cfg.Metrics.ReportsShed.Inc()
-		default:
-		}
+	select {
+	case s.reports <- *r:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
+// shed counts the reports a link's end left undelivered and ends their
+// traces.
+func (s *Session) shed(rest []reader.TagReport) {
+	for i := range rest {
+		s.cfg.Tracer.Abort(rest[i].TraceID)
+	}
+	s.cfg.Metrics.ReportsShed.Add(uint64(len(rest)))
+}
+
 // backoffDelay is the n-th consecutive failure's wait:
-// min·2^(n-1) capped at max, then ±Jitter fractional randomization.
+// min·2^(n-1) capped at max, then ±backoffJitter fractional
+// randomization from jitter (nil: none).
 func backoffDelay(cfg SessionConfig, attempt int, jitter *rand.Rand) time.Duration {
 	if attempt < 1 {
 		attempt = 1
@@ -574,8 +536,8 @@ func backoffDelay(cfg SessionConfig, attempt int, jitter *rand.Rand) time.Durati
 	if d > cfg.BackoffMax {
 		d = cfg.BackoffMax
 	}
-	if cfg.Jitter > 0 {
-		f := 1 + cfg.Jitter*(2*jitter.Float64()-1)
+	if jitter != nil {
+		f := 1 + backoffJitter*(2*jitter.Float64()-1)
 		d = time.Duration(float64(d) * f)
 	}
 	if d < time.Millisecond {

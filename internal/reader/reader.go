@@ -70,7 +70,7 @@ type TagReport struct {
 	TraceID uint64
 	// ReaderID names the reader that produced the report — the fleet
 	// provenance tag. Sessions stamp it from SessionConfig.ReaderID and
-	// the fleet registry stamps each entry's name, so downstream stages
+	// the fleet stamps each reader's name, so downstream stages
 	// (differencing, antenna selection, tracing) can keep per-reader
 	// streams apart. Empty means an unnamed single reader: the legacy
 	// path, bit-identical to pre-fleet behaviour.

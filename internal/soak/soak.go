@@ -66,8 +66,8 @@ type Profile struct {
 	// CalmTail is the fault-free stream time at the end of the run;
 	// by its close the ladder must have fully cleared.
 	CalmTail time.Duration
-	// ShardQueue and MaxStretch configure the monitor under test.
-	ShardQueue int
+	// MaxStretch configures the monitor under test's degradation
+	// ladder.
 	MaxStretch int
 }
 
@@ -84,7 +84,6 @@ func Compressed() Profile {
 		Jitter:         0.2,
 		StallStream:    18 * time.Second,
 		CalmTail:       150 * time.Second,
-		ShardQueue:     256,
 		MaxStretch:     8,
 	}
 }
@@ -103,7 +102,6 @@ func Realtime() Profile {
 		Jitter:         0.3,
 		StallStream:    18 * time.Second,
 		CalmTail:       5 * time.Minute,
-		ShardQueue:     256,
 		MaxStretch:     8,
 	}
 }
@@ -280,7 +278,6 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 		Window:       25 * time.Second,
 		UpdateEvery:  time.Second,
 		ShardWorkers: 2,
-		ShardQueue:   p.ShardQueue,
 		Overload:     core.OverloadDropNewest,
 		Degrade:      core.DegradeConfig{MaxStretch: p.MaxStretch},
 	})

@@ -246,40 +246,38 @@ func StartLLRPSession(ctx context.Context, cfg LLRPSessionConfig) (*LLRPSession,
 	return llrp.StartSession(ctx, cfg)
 }
 
-// Reader-fleet types for multi-reader deployments: a registry of named
+// Reader-fleet types for multi-reader deployments: a fixed set of named
 // LLRP endpoints, each under its own supervised session, merged onto
 // one provenance-tagged report channel that feeds a single Monitor.
 // The pipeline's (reader, antenna) selection merges overlapping
 // coverage deterministically — a user seen by several readers is
 // estimated once, from the best vantage, never double-counted.
 type (
-	// Fleet is a running multi-reader registry (see StartFleet).
+	// Fleet is a running multi-reader fleet (see StartFleet).
 	Fleet = fleet.Fleet
-	// FleetConfig assembles a fleet: initial readers, the per-reader
-	// session template, merge buffering, and instrumentation.
+	// FleetConfig assembles a fleet: its readers, the per-reader
+	// session template, quality-aware shedding, and instrumentation.
 	FleetConfig = fleet.Config
-	// FleetReaderConfig is one named reader endpoint in the registry.
+	// FleetReaderConfig is one named reader endpoint in the fleet.
 	FleetReaderConfig = fleet.ReaderConfig
-	// FleetReaderStatus is one reader's registry view (the
-	// /debug/fleet row).
+	// FleetReaderStatus is one reader's view (the /debug/fleet row).
 	FleetReaderStatus = fleet.ReaderStatus
-	// FleetMetrics instruments the fleet registry with reader-labeled
-	// families.
+	// FleetMetrics instruments the fleet with reader-labeled families.
 	FleetMetrics = fleet.Metrics
 )
 
 // StartFleet starts a multi-reader fleet: one supervised LLRP session
 // per configured reader, merged onto the single channel Fleet.Reports
 // returns, with every report stamped with its reader's name
-// (TagReport.ReaderID). Readers can be added, removed, and
-// reconfigured at runtime; one stalled or dead reader never blocks
-// the others. Canceling ctx (or calling Close) tears the fleet down.
+// (TagReport.ReaderID). The reader set is fixed at start; one stalled
+// or dead reader never blocks the others. Canceling ctx (or calling
+// Close) tears the fleet down.
 func StartFleet(ctx context.Context, cfg FleetConfig) (*Fleet, error) {
 	return fleet.Start(ctx, cfg)
 }
 
-// NewFleetMetrics wires fleet-registry instruments into r (nil r:
-// live, unexposed).
+// NewFleetMetrics wires fleet instruments into r (nil r: live,
+// unexposed).
 func NewFleetMetrics(r *MetricsRegistry) *FleetMetrics {
 	return fleet.NewMetrics(r)
 }
